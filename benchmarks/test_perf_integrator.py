@@ -2,8 +2,8 @@
 
 Times the same statistical sweep -- ``REPRO_BENCH_INTEG_CONDITIONS``
 operating points x ``REPRO_BENCH_INTEG_SEEDS`` Monte Carlo seeds of one
-NAND2 arc -- through the batched fixed-step RK4 engine and the batched
-error-controlled RK45 engine (:mod:`repro.spice.adaptive`) at the default
+NAND2 arc -- through the lockstep integrator's fixed-step RK4 and
+error-controlled RK45 tableaus (:mod:`repro.spice.transient`) at the default
 ``rtol = 1e-9``, and writes ``BENCH_integrator.json`` (wall-clock seconds,
 step/rejection/RHS-evaluation counts from each engine's
 :class:`~repro.spice.stepper.IntegrationStats`, speedup and RHS-cost ratio).
@@ -36,11 +36,7 @@ from bench_utils import write_json_result  # noqa: E402
 from repro import get_technology, make_cell
 from repro.cells import reduce_cell_cached
 from repro.characterization.input_space import InputSpace
-from repro.spice import (
-    StepperSpec,
-    simulate_arc_transitions,
-    simulate_arc_transitions_adaptive,
-)
+from repro.spice import StepperSpec, simulate_arc_transitions
 from repro.spice.transient import DEFAULT_STEPS
 
 
@@ -69,8 +65,8 @@ def test_adaptive_integrator_throughput(results_dir):
 
     # Warm-up outside the timed regions (first-call numpy/python overheads).
     simulate_arc_transitions(inverter, sin[:2], cload[:2], vdd[:2])
-    simulate_arc_transitions_adaptive(inverter, sin[:2], cload[:2], vdd[:2],
-                                      stepper=stepper)
+    simulate_arc_transitions(inverter, sin[:2], cload[:2], vdd[:2],
+                             stepper=stepper)
 
     fixed_seconds = float("inf")
     for _ in range(repeats):
@@ -83,8 +79,8 @@ def test_adaptive_integrator_throughput(results_dir):
     adaptive_seconds = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        adaptive = simulate_arc_transitions_adaptive(inverter, sin, cload,
-                                                     vdd, stepper=stepper)
+        adaptive = simulate_arc_transitions(inverter, sin, cload, vdd,
+                                            stepper=stepper)
         adaptive_delay = adaptive.delay()
         adaptive_slew = adaptive.output_slew()
         adaptive_seconds = min(adaptive_seconds, time.perf_counter() - start)
@@ -105,7 +101,7 @@ def test_adaptive_integrator_throughput(results_dir):
 
     acc_fixed = simulate_arc_transitions(
         acc_inverter, sin[:n_acc], cload[:n_acc], vdd[:n_acc])
-    acc_adaptive = simulate_arc_transitions_adaptive(
+    acc_adaptive = simulate_arc_transitions(
         acc_inverter, sin[:n_acc], cload[:n_acc], vdd[:n_acc],
         stepper=stepper)
     fixed_error = float(np.max(np.abs(acc_fixed.delay() / ref_delay - 1.0)))

@@ -2,7 +2,7 @@
 
 Times the same statistical sweep -- ``REPRO_BENCH_PERF_CONDITIONS`` operating
 points x ``REPRO_BENCH_PERF_SEEDS`` Monte Carlo seeds of one NAND2 arc --
-through the serial per-condition engine and the batched
+through the serial per-condition oracle (``tests/oracles``) and the batched
 ``(conditions x seeds)`` engine, verifies the two agree to ``rtol <= 1e-9``,
 and writes ``BENCH_transient.json`` (wall-clock seconds, conditions/sec,
 seeds*steps/sec, speedup) so the performance trajectory is tracked across
@@ -30,8 +30,9 @@ from bench_utils import write_json_result  # noqa: E402
 from repro import get_technology, make_cell
 from repro.cells import reduce_cell_cached
 from repro.characterization.input_space import InputSpace
-from repro.spice import simulate_arc_transition, simulate_arc_transitions
+from repro.spice import simulate_arc_transitions
 from repro.spice.transient import DEFAULT_STEPS
+from tests.oracles.serial_transient import simulate_arc_transition
 
 
 def test_batched_sweep_throughput(results_dir):

@@ -20,7 +20,7 @@ consumed directly:
 
 Run with::
 
-    python examples/library_characterization.py [--engine batched|serial|adaptive]
+    python examples/library_characterization.py [--engine batched|adaptive]
 
 ``--engine`` selects the transient integration engine of the simulate
 phase (default: the runtime-configured engine, i.e. the fixed-step batched
@@ -58,8 +58,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--engine", choices=runtime.TRANSIENT_ENGINES, default=None,
-        help="transient integration engine for the simulate phase "
-             "(default: runtime-configured; batched fixed-step RK4)")
+        help="transient integration engine for the simulate phase: "
+             "batched (fixed-step RK4) or adaptive (error-controlled RK45); "
+             "default: the runtime-configured engine, else batched")
     args = parser.parse_args()
 
     start = time.time()

@@ -56,10 +56,7 @@ from repro.spice import (
     WaveformBatch,
     characterize_arc,
     get_simulation_cache,
-    simulate_arc_transition,
-    simulate_arc_transition_adaptive,
     simulate_arc_transitions,
-    simulate_arc_transitions_adaptive,
     sweep_conditions,
 )
 from repro.characterization import (
@@ -164,10 +161,7 @@ __all__ = [
     "nominal_baseline",
     "reduce_cell",
     "reduce_cell_cached",
-    "simulate_arc_transition",
-    "simulate_arc_transition_adaptive",
     "simulate_arc_transitions",
-    "simulate_arc_transitions_adaptive",
     "statistical_baseline",
     "statistical_errors",
     "sweep_conditions",

@@ -97,7 +97,7 @@ class EquivalentInverter:
         """Hashable token of everything the transient engine reads.
 
         Two reductions with equal signatures are interchangeable inside
-        :func:`repro.spice.batch.simulate_arc_transitions`: the devices
+        :func:`repro.spice.transient.simulate_arc_transitions`: the devices
         (model class plus every parameter array, bit for bit), the lumped
         capacitances and the output-transition polarity all match, so their
         conditions can share one mega-batched RK4 pass.  This is how the

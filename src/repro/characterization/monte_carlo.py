@@ -6,9 +6,9 @@ nominal experiments, and full Monte Carlo over process seeds for the
 statistical experiments.  These functions provide exactly that, with
 simulation-run accounting so speedups can be computed against them.
 
-Both baselines run on the batched transient engine: every requested
+Both baselines run on the lockstep transient integrator: every requested
 condition is integrated in one ``(n_conditions, n_seeds)`` RK4 pass of
-:func:`repro.spice.batch.simulate_arc_transitions` (via
+:func:`repro.spice.transient.simulate_arc_transitions` (via
 :func:`repro.spice.sweep.sweep_conditions`), and previously simulated
 operating points are served from the global simulation cache.  The
 simulation-run counters are unaffected by either optimization -- they keep

@@ -4,8 +4,8 @@ The statistical flow extracts one compact-model parameter vector *per Monte
 Carlo seed* (and per response), so a 200-seed arc costs 400 independent
 four-parameter bounded least-squares problems.  Solving them one at a time
 through :func:`scipy.optimize.least_squares` pays the full Python/trust-region
-overhead 400 times over -- after the batched transient engine
-(:mod:`repro.spice.batch`) removed the simulation bottleneck, that extraction
+overhead 400 times over -- after the batched transient integrator
+(:mod:`repro.spice.transient`) removed the simulation bottleneck, that extraction
 loop dominated the wall clock of
 :meth:`repro.core.statistical_flow.StatisticalCharacterizer.characterize`.
 

@@ -874,12 +874,9 @@ def characterize_library(
         :class:`~repro.runtime.checkpoint.CheckpointMismatch`.
     transient_engine:
         Transient integration engine of the simulate phase: ``"batched"``
-        (fixed-step lockstep RK4), ``"adaptive"`` (error-controlled RK45;
-        typically 3x+ fewer RHS evaluations at equal accuracy), or
-        ``"serial"`` (equivalence-testing engine; the fused pipeline has no
-        serial path, so it falls back to the numerically identical batched
-        engine there).  ``None`` defers to
-        ``runtime.configure(transient_engine=...)`` /
+        (fixed-step lockstep RK4) or ``"adaptive"`` (error-controlled RK45;
+        typically 3x+ fewer RHS evaluations at equal accuracy).  ``None``
+        defers to ``runtime.configure(transient_engine=...)`` /
         ``REPRO_TRANSIENT_ENGINE``.  The engine's stepper signature is part
         of every simulation-cache key and of the checkpoint run signature.
 
@@ -926,13 +923,8 @@ def characterize_library(
     run_ledger = ledger if ledger is not None else RunLedger()
     failures: List[FailureReport] = []
 
-    # The fused pipeline has no serial path (serial is the equivalence twin
-    # of the batched fixed-step engine, numerically identical to it), so a
-    # resolved "serial" runs the batched engine there; the per-arc pipeline
-    # honors it as-is through each arc's sweep.
     resolved_engine = resolve_transient_engine(transient_engine)
-    fused_engine = "adaptive" if resolved_engine == "adaptive" else "batched"
-    stepper = resolve_stepper(fused_engine)
+    stepper = resolve_stepper(resolved_engine)
 
     checkpointer: Optional[Checkpointer] = None
     preloaded: Dict[int, StatisticalCharacterization] = {}

@@ -84,7 +84,7 @@ RESPONSES = ("delay", "slew")
 DEFAULT_REFERENCE_CONDITIONS = 24
 
 #: Engines of :func:`characterize_historical_library`.
-HISTORICAL_ENGINES = ("fused", "batched", "serial")
+HISTORICAL_ENGINES = ("fused", "batched")
 
 #: Belief-propagation engines of :func:`learn_priors` /
 #: :func:`learn_class_priors` (forwarded to
@@ -418,8 +418,7 @@ def characterize_historical_library(
         one :class:`SimulationPlan` -- signature-grouped mega-batched RK4
         with cross-arc dedup and cache reuse -- and fits all arcs in one
         stacked least-squares solve; ``"batched"`` integrates each arc's
-        reference-condition set in its own 2-D RK4 pass; ``"serial"`` keeps
-        the per-condition reference integrator for equivalence runs.
+        reference-condition set in its own 2-D RK4 pass.
     ledger:
         Optional :class:`RunLedger`; stages ``priors:plan``,
         ``priors:simulate``/``priors:integrate`` and ``priors:fit`` plus

@@ -43,12 +43,14 @@ from repro.cells.library import Cell, TimingArc
 from repro.runtime import resolve_max_bytes
 from repro.runtime.accounting import RunLedger
 from repro.runtime.chunking import plan_chunks
-from repro.spice.adaptive import simulate_arc_transitions_adaptive
-from repro.spice.batch import simulate_arc_transitions, transient_item_bytes
 from repro.spice.stepper import StepperSpec
 from repro.spice.sweep import record_integration_stats
 from repro.spice.testbench import SimulationCache, get_simulation_cache
-from repro.spice.transient import DEFAULT_STEPS
+from repro.spice.transient import (
+    DEFAULT_STEPS,
+    simulate_arc_transitions,
+    transient_item_bytes,
+)
 from repro.technology.node import TechnologyNode
 from repro.technology.variation import VariationSample
 
@@ -60,8 +62,8 @@ def simulate_rows_job(payload: tuple):
     signature group -- every row in the chunk reduces to a bit-identical
     equivalent inverter, so one reduction serves all rows whatever cell
     they came from -- and the :class:`~repro.spice.stepper.StepperSpec`
-    selecting the integration scheme (``rk45`` dispatches to the adaptive
-    engine).  Returns the per-row delay/slew matrices plus the chunk's
+    selecting the integration scheme (RK4 fixed grid or adaptive RK45).
+    Returns the per-row delay/slew matrices plus the chunk's
     :class:`RunLedger` (integration wall time under the flow's own stage
     label and the chunk's step/RHS-evaluation metrics, merged back in
     payload order by the executor).
@@ -73,14 +75,9 @@ def simulate_rows_job(payload: tuple):
         inverter = reduce_cell_cached(cell, technology, arc=arc,
                                       variation=variation)
         with ledger.stage(stage):
-            if stepper.method == "rk45":
-                result = simulate_arc_transitions_adaptive(
-                    inverter, triples[:, 0], triples[:, 1], triples[:, 2],
-                    stepper=stepper, on_failure=on_failure)
-            else:
-                result = simulate_arc_transitions(
-                    inverter, triples[:, 0], triples[:, 1], triples[:, 2],
-                    n_steps=stepper.n_steps, on_failure=on_failure)
+            result = simulate_arc_transitions(
+                inverter, triples[:, 0], triples[:, 1], triples[:, 2],
+                on_failure=on_failure, stepper=stepper)
             record_integration_stats(ledger, result.stats)
             delay = np.asarray(result.delay(), dtype=float)
             slew = np.asarray(result.output_slew(), dtype=float)

@@ -4,7 +4,7 @@ The classic Sakurai-Newton alpha-power law [Sakurai & Newton, JSSC 1990]
 expresses the saturation drain current as ``Id = k * W * (Vgs - Vth)**alpha``
 and switches to a linear region below ``Vdsat``.  The piecewise form has a
 discontinuous derivative at both the threshold and the saturation knee, which
-is inconvenient for the fixed-step transient integrator used in
+is inconvenient for the Runge-Kutta transient integrator of
 :mod:`repro.spice.transient`.  This implementation therefore uses
 
 * a softplus-smoothed gate overdrive around the threshold voltage, which also
@@ -31,6 +31,12 @@ class AlphaPowerMOSFET(MOSFET):
     Used for the planar (bulk and SOI) technology nodes in the synthetic
     PDKs.  See :class:`repro.devices.mosfet.DeviceParameters` for the
     parameter definitions.
+
+    :meth:`current` is the readable form of the model.  The transient
+    integrator evaluates the same model through one fused, buffer-reusing
+    kernel (``repro.spice.transient._AlphaPowerKernel``); the test suite's
+    serial oracle integrates with :meth:`current`, which checks that kernel
+    against independent math.
     """
 
     def current(self, vgs: ArrayLike, vds: ArrayLike) -> np.ndarray:

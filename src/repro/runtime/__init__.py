@@ -36,8 +36,8 @@ start from defaults, so flows that must honor a budget everywhere thread
 tier can also be enabled from the environment: ``REPRO_DISK_CACHE=<dir>``
 attaches a :class:`~repro.runtime.persist.DiskStore` under ``<dir>`` to
 every durable registered cache, and ``REPRO_DISK_CACHE_BYTES`` budgets it.
-``REPRO_TRANSIENT_ENGINE=<batched|serial|adaptive>`` selects the default
-transient integration engine (unknown values are ignored), and
+``REPRO_TRANSIENT_ENGINE=<batched|adaptive>`` selects the default
+transient integration engine (any other value raises ``ValueError``), and
 ``REPRO_TRANSIENT_RTOL`` / ``REPRO_TRANSIENT_ATOL`` override the adaptive
 engine's default tolerances (relative, and absolute as a fraction of the
 supply).
@@ -98,10 +98,10 @@ _KEEP = object()
 
 #: Transient integration engines selectable process-wide.  The names are
 #: owned here (not in ``repro.spice``) so the runtime layer never imports
-#: the engines it configures: ``batched`` is the fixed-step lockstep RK4
-#: engine, ``serial`` its one-condition-at-a-time equivalence twin, and
-#: ``adaptive`` the error-controlled Dormand-Prince RK45 engine.
-TRANSIENT_ENGINES = ("batched", "serial", "adaptive")
+#: the engines it configures: ``batched`` runs the lockstep integrator on
+#: the fixed-step RK4 grid and ``adaptive`` runs it with error-controlled
+#: Dormand-Prince RK45 steps.
+TRANSIENT_ENGINES = ("batched", "adaptive")
 
 
 @dataclass
@@ -299,10 +299,12 @@ def _bootstrap_from_env() -> None:
 
     Lets scripts and CI enable the durable tier without code changes.  A
     malformed byte budget is ignored rather than failing the import of the
-    whole runtime package.
+    whole runtime package; an unknown ``REPRO_TRANSIENT_ENGINE`` raises
+    ``ValueError`` instead of silently running a different engine than
+    the one asked for.
     """
     engine = os.environ.get("REPRO_TRANSIENT_ENGINE", "").strip()
-    if engine in TRANSIENT_ENGINES:
+    if engine:
         configure(transient_engine=engine)
     for env_name, knob in (("REPRO_TRANSIENT_RTOL", "transient_rtol"),
                            ("REPRO_TRANSIENT_ATOL", "transient_atol_frac")):

@@ -28,8 +28,9 @@ harness, see :mod:`repro.runtime.faultinject`):
   store to read-only instead of aborting the characterization.
 * **Byte-budgeted eviction.**  When the store exceeds ``max_bytes``, the
   oldest entries (by modification time) are dropped under a best-effort
-  lock file; a stale lock (dead pid or expired age) is broken rather than
-  waited on.
+  lock file.  The lock is published whole (a token file hard-linked into
+  place), released only by its owner, and broken rather than waited on
+  once stale (dead pid or expired age).
 
 Keys are arbitrary picklable tuples (the same tuples the in-memory caches
 use); :func:`stable_key_digest` maps them to SHA-256 hex names through a
@@ -44,7 +45,9 @@ import os
 import pickle
 import struct
 import tempfile
+import threading
 import time
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -217,6 +220,9 @@ class DiskStore:
         #: reopened over an existing directory accounts its inventory.
         self._index: Dict[str, int] = {}
         self._current_bytes = 0
+        #: Guards the counters, the index and its byte total: one handle
+        #: may serve several threads.
+        self._stats_lock = threading.Lock()
         self._open()
 
     # ------------------------------------------------------------------
@@ -245,20 +251,21 @@ class DiskStore:
 
     def stats(self) -> DiskStoreStats:
         """Current counters and occupancy as a :class:`DiskStoreStats`."""
-        return DiskStoreStats(
-            name=self._name,
-            root=str(self._root),
-            hits=self._hits,
-            misses=self._misses,
-            writes=self._writes,
-            write_errors=self._write_errors,
-            evictions=self._evictions,
-            quarantined=self._quarantined,
-            stale_locks_broken=self._stale_locks_broken,
-            entries=len(self._index),
-            current_bytes=self._current_bytes,
-            max_bytes=self._max_bytes,
-        )
+        with self._stats_lock:
+            return DiskStoreStats(
+                name=self._name,
+                root=str(self._root),
+                hits=self._hits,
+                misses=self._misses,
+                writes=self._writes,
+                write_errors=self._write_errors,
+                evictions=self._evictions,
+                quarantined=self._quarantined,
+                stale_locks_broken=self._stale_locks_broken,
+                entries=len(self._index),
+                current_bytes=self._current_bytes,
+                max_bytes=self._max_bytes,
+            )
 
     def set_max_bytes(self, max_bytes: Optional[int]) -> None:
         """Re-budget the store; excess entries are evicted immediately."""
@@ -312,19 +319,24 @@ class DiskStore:
             data = path.read_bytes()
         except FileNotFoundError:
             self._drop_from_index(digest)
-            self._misses += 1
+            self._count_miss()
             return default
         except OSError:
             self._quarantine(digest, path)
-            self._misses += 1
+            self._count_miss()
             return default
         value = self._decode(data)
         if value is _MISSING:
             self._quarantine(digest, path)
-            self._misses += 1
+            self._count_miss()
             return default
-        self._hits += 1
+        with self._stats_lock:
+            self._hits += 1
         return value
+
+    def _count_miss(self) -> None:
+        with self._stats_lock:
+            self._misses += 1
 
     def _decode(self, data: bytes) -> Any:
         if len(data) < _HEADER.size:
@@ -378,7 +390,8 @@ class DiskStore:
                     pass
                 raise
         except (OSError, pickle.PicklingError):
-            self._write_errors += 1
+            with self._stats_lock:
+                self._write_errors += 1
             return False
         # Post-commit corruption hook: the deterministic stand-in for torn
         # sectors and bit-rot between this run and the next reader.
@@ -387,9 +400,11 @@ class DiskStore:
             size = path.stat().st_size
         except OSError:
             size = _HEADER.size + len(payload)
-        self._index[digest] = size
-        self._current_bytes += size
-        self._writes += 1
+        with self._stats_lock:
+            if digest not in self._index:
+                self._current_bytes += size
+            self._index[digest] = size
+            self._writes += 1
         self._evict()
         return True
 
@@ -410,8 +425,9 @@ class DiskStore:
                 self._entry_path(digest).unlink()
             except OSError:
                 pass
-        self._index.clear()
-        self._current_bytes = 0
+        with self._stats_lock:
+            self._index.clear()
+            self._current_bytes = 0
         for stale in self._quarantine_dir.glob("*.entry"):
             try:
                 stale.unlink()
@@ -421,14 +437,18 @@ class DiskStore:
     # ------------------------------------------------------------------
     # Quarantine and eviction
     # ------------------------------------------------------------------
-    def _drop_from_index(self, digest: str) -> None:
-        size = self._index.pop(digest, None)
-        if size is not None:
-            self._current_bytes -= size
+    def _drop_from_index(self, digest: str) -> bool:
+        """Forget one entry; returns whether it was indexed."""
+        with self._stats_lock:
+            size = self._index.pop(digest, None)
+            if size is not None:
+                self._current_bytes -= size
+        return size is not None
 
     def _quarantine(self, digest: str, path: Path) -> None:
         """Move a corrupt entry aside so it is never served (or retried)."""
-        self._quarantined += 1
+        with self._stats_lock:
+            self._quarantined += 1
         try:
             os.replace(path, self._quarantine_dir / f"{digest}.entry")
         except OSError:
@@ -447,11 +467,14 @@ class DiskStore:
     def _evict(self) -> None:
         if self._max_bytes is None or self._current_bytes <= self._max_bytes:
             return
-        if not self._acquire_lock():
-            return  # another process is maintaining the store; skip
+        token = self._acquire_lock()
+        if token is None:
+            return  # another writer is maintaining the store; skip
         try:
+            with self._stats_lock:
+                digests = list(self._index)
             aged = []
-            for digest in self._index:
+            for digest in digests:
                 path = self._entry_path(digest)
                 try:
                     aged.append((path.stat().st_mtime, digest))
@@ -465,45 +488,71 @@ class DiskStore:
                     self._entry_path(digest).unlink()
                 except OSError:
                     pass
-                self._drop_from_index(digest)
-                self._evictions += 1
+                if self._drop_from_index(digest):
+                    with self._stats_lock:
+                        self._evictions += 1
         finally:
-            self._release_lock()
+            self._release_lock(token)
 
     # ------------------------------------------------------------------
     # Best-effort maintenance lock (with stale-lock breaking)
     # ------------------------------------------------------------------
-    def _acquire_lock(self) -> bool:
+    def _acquire_lock(self) -> Optional[str]:
+        """Take the maintenance lock; returns its token, or ``None`` if held.
+
+        The lock file is published whole: a unique token is written to a
+        temp file and hard-linked to ``.lock``, which fails if a lock
+        already exists, so no reader ever sees a half-written lock.
+        """
         faultinject.plant_stale_lock(SITE_STORE_LOCK, self._lock_path)
+        token = f"{os.getpid()}:{time.time()}:{uuid.uuid4().hex}"
         for _ in range(2):
             try:
-                fd = os.open(self._lock_path,
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                self._publish_lock(token)
             except FileExistsError:
-                if self._lock_is_stale():
-                    try:
-                        self._lock_path.unlink()
-                    except OSError:
-                        return False
+                if not self._lock_is_stale():
+                    return None
+                try:
+                    self._lock_path.unlink()
+                except OSError:
+                    return None
+                with self._stats_lock:
                     self._stale_locks_broken += 1
-                    continue
-                return False
+                continue
             except OSError:
-                return False
-            with os.fdopen(fd, "w") as handle:
-                handle.write(f"{os.getpid()}:{time.time()}")
-            return True
-        return False
+                return None
+            return token
+        return None
+
+    def _publish_lock(self, token: str) -> None:
+        fd, tmp_name = tempfile.mkstemp(dir=self._tmp_dir, suffix=".lock")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(token)
+            os.link(tmp_name, self._lock_path)
+        finally:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
 
     def _lock_is_stale(self) -> bool:
-        """A lock is stale when its holder is dead or it outlived its age."""
+        """A lock is stale when its holder is dead or it outlived its age.
+
+        A lock without a readable ``pid:time`` (empty, garbled) is held
+        until its file is older than ``stale_lock_s``.
+        """
         try:
-            pid_text, _, stamp_text = (
-                self._lock_path.read_text(encoding="utf-8").partition(":"))
+            mtime = self._lock_path.stat().st_mtime
+        except OSError:
+            return False  # already gone: nothing to break
+        try:
+            pid_text, stamp_text = (
+                self._lock_path.read_text(encoding="utf-8").split(":")[:2])
             pid = int(pid_text)
             stamp = float(stamp_text)
         except (OSError, ValueError):
-            return True  # unreadable lock: treat as abandoned
+            return time.time() - mtime > self._stale_lock_s
         if time.time() - stamp > self._stale_lock_s:
             return True
         if pid == os.getpid():
@@ -516,8 +565,11 @@ class DiskStore:
             return False
         return False
 
-    def _release_lock(self) -> None:
+    def _release_lock(self, token: str) -> None:
+        """Remove the lock, but only while it still holds our ``token``."""
         try:
+            if self._lock_path.read_text(encoding="utf-8") != token:
+                return
             self._lock_path.unlink()
         except OSError:
             pass

@@ -20,17 +20,16 @@ from repro.spice.waveform import (
     WaveformBatch,
 )
 from repro.spice.stimulus import RampStimulus
-from repro.spice.transient import TransientResult, simulate_arc_transition
-from repro.spice.batch import BatchTransientResult, simulate_arc_transitions
+from repro.spice.transient import (
+    BatchTransientResult,
+    TransientResult,
+    simulate_arc_transitions,
+)
 from repro.spice.stepper import (
     DEFAULT_ATOL_FRAC,
     DEFAULT_RTOL,
     IntegrationStats,
     StepperSpec,
-)
-from repro.spice.adaptive import (
-    simulate_arc_transition_adaptive,
-    simulate_arc_transitions_adaptive,
 )
 from repro.spice.testbench import (
     SimulationCache,
@@ -62,9 +61,6 @@ __all__ = [
     "characterize_arc",
     "characterize_cell_nominal",
     "get_simulation_cache",
-    "simulate_arc_transition",
-    "simulate_arc_transition_adaptive",
     "simulate_arc_transitions",
-    "simulate_arc_transitions_adaptive",
     "sweep_conditions",
 ]

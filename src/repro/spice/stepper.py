@@ -1,4 +1,4 @@
-"""Stepper specifications shared by the transient integration engines.
+"""Stepper specifications of the transient integrator.
 
 A :class:`StepperSpec` pins down *everything* that shapes an engine's
 numerical results -- the scheme (fixed-step RK4 or embedded Dormand-Prince
@@ -9,19 +9,18 @@ and of the library checkpoint signature, so results produced by different
 schemes (or the same scheme at different tolerances) can never collide in
 a cache or be mixed across a checkpoint resume.
 
-:class:`IntegrationStats` is the engines' common accounting record
-(steps taken / steps rejected / scalar RHS evaluations); both the fixed
-and the adaptive engine attach one to their batch results so sweeps and
-the fused library pipeline can report integration cost in the
-:class:`~repro.runtime.accounting.RunLedger`.
+:class:`IntegrationStats` is the integrator's accounting record (steps
+taken / steps rejected / scalar RHS evaluations), attached to every batch
+result so sweeps and the fused library pipeline can report integration
+cost in the :class:`~repro.runtime.accounting.RunLedger`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.spice.transient import DEFAULT_STEPS
-
+#: Default number of RK4 steps per simulation window.
+DEFAULT_STEPS = 400
 #: Default relative tolerance of the adaptive engine.  Chosen to match the
 #: engine-equivalence budget of the fixed-step engines (``rtol <= 1e-9``):
 #: at this local tolerance the adaptive delays/slews agree with the
@@ -40,9 +39,10 @@ class StepperSpec:
     Attributes
     ----------
     method:
-        ``"rk4"`` (fixed-step classical Runge-Kutta; the historical
-        engines) or ``"rk45"`` (embedded Dormand-Prince 5(4) with PI
-        step-size control; :mod:`repro.spice.adaptive`).
+        ``"rk4"`` (fixed-step classical Runge-Kutta; the ``batched``
+        engine) or ``"rk45"`` (embedded Dormand-Prince 5(4) with PI
+        step-size control; the ``adaptive`` engine).  Both run on the
+        lockstep integrator of :mod:`repro.spice.transient`.
     n_steps:
         Fixed-step count per simulation window.  Only meaningful for
         ``"rk4"`` -- the adaptive scheme chooses its own steps, so
@@ -95,9 +95,8 @@ class StepperSpec:
     def for_engine(cls, engine: str,
                    n_steps: int = DEFAULT_STEPS) -> "StepperSpec":
         """The default spec of one ``sweep_conditions`` engine name."""
-        if engine == "adaptive":
-            return cls(method="rk45", n_steps=int(n_steps))
-        return cls(method="rk4", n_steps=int(n_steps))
+        return cls(method="rk45" if engine == "adaptive" else "rk4",
+                   n_steps=int(n_steps))
 
     def signature(self) -> tuple:
         """The cache/checkpoint key tuple of this scheme.
@@ -140,7 +139,7 @@ def resolve_stepper(engine: str, n_steps: int = DEFAULT_STEPS) -> StepperSpec:
 
 @dataclass
 class IntegrationStats:
-    """Integration-cost accounting shared by every transient engine.
+    """Integration-cost accounting of one or more integrator calls.
 
     ``steps_taken`` / ``steps_rejected`` count per-condition step
     attempts (summed over the conditions of a batch); ``rhs_evals``

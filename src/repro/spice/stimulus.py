@@ -54,9 +54,9 @@ class RampStimulus:
     def voltage(self, time) -> np.ndarray:
         """Ramp voltage at the given times (vectorized, with a scalar fast path).
 
-        The transient solver calls this once per RK4 stage with a plain float;
-        the scalar branch avoids the ``np.asarray``/``float()`` round-trip that
-        would otherwise dominate the per-step cost of the serial engine.
+        A one-condition integrator calls this once per RK4 stage with a plain
+        float; the scalar branch avoids the ``np.asarray``/``float()``
+        round-trip that would otherwise dominate its per-step cost.
         """
         if isinstance(time, (float, int)):
             fraction = (time - self.start_time) / self.slew

@@ -5,8 +5,8 @@ each netlist is elaborated once and re-simulated for every process seed.  In
 this reproduction the analogue goes one step further: the cell is reduced to
 its equivalent inverter once per seed batch (memoized across sweeps) and
 *every* requested ``(Sin, Cload, Vdd)`` condition is integrated in a single
-pass of the batched transient engine (:mod:`repro.spice.batch`), with the
-per-condition results memoized in the global
+pass of the lockstep transient integrator (:mod:`repro.spice.transient`),
+with the per-condition results memoized in the global
 :class:`~repro.spice.testbench.SimulationCache` so repeated operating points
 are never simulated twice.
 """
@@ -19,15 +19,9 @@ import numpy as np
 
 from repro.cells.equivalent_inverter import default_arc, reduce_cell_cached
 from repro.cells.library import Cell, TimingArc
-from repro.runtime import (
-    TRANSIENT_ENGINES,
-    resolve_max_bytes,
-    resolve_transient_engine,
-)
+from repro.runtime import resolve_max_bytes, resolve_transient_engine
 from repro.runtime.accounting import RunLedger
 from repro.runtime.chunking import plan_chunks
-from repro.spice.adaptive import simulate_arc_transitions_adaptive
-from repro.spice.batch import simulate_arc_transitions, transient_item_bytes
 from repro.spice.stepper import IntegrationStats, StepperSpec, resolve_stepper
 from repro.spice.testbench import (
     SimulationCache,
@@ -35,15 +29,13 @@ from repro.spice.testbench import (
     TimingMeasurement,
     get_simulation_cache,
 )
-from repro.spice.transient import DEFAULT_STEPS, simulate_arc_transition
+from repro.spice.transient import (
+    DEFAULT_STEPS,
+    simulate_arc_transitions,
+    transient_item_bytes,
+)
 from repro.technology.node import TechnologyNode
 from repro.technology.variation import VariationSample
-
-#: Engines selectable in :func:`sweep_conditions` (the runtime layer owns
-#: the canonical tuple so ``runtime.configure(transient_engine=...)`` can
-#: validate without importing the engines).
-ENGINES = TRANSIENT_ENGINES
-
 
 def record_integration_stats(ledger: Optional[RunLedger],
                              stats: Optional[IntegrationStats]) -> None:
@@ -92,23 +84,19 @@ def sweep_conditions(
         wall-clock time.
     engine:
         ``"batched"`` integrates every condition in one 2-D fixed-step RK4
-        pass; ``"serial"`` integrates condition by condition through the
-        original engine (kept for equivalence testing; it never touches
-        the simulation cache -- a serial sweep must actually run the
-        serial integrator, not replay memoized batched results);
-        ``"adaptive"`` integrates every condition in one batched
-        error-controlled RK45 pass (:mod:`repro.spice.adaptive`).  ``None``
+        pass; ``"adaptive"`` integrates every condition in one
+        error-controlled RK45 pass.  Both run on
+        :func:`~repro.spice.transient.simulate_arc_transitions`.  ``None``
         (default) defers to ``runtime.configure(transient_engine=...)`` /
         ``REPRO_TRANSIENT_ENGINE``, falling back to ``"batched"``.
     cache:
-        Whether to consult/fill the global simulation cache (batched and
-        adaptive engines; ignored for ``engine="serial"``).  Keys embed
+        Whether to consult/fill the global simulation cache.  Keys embed
         the full stepper signature, so fixed-step and adaptive results
         never collide.  A sweep whose conditions all hit short-circuits
         straight to measurement assembly -- no equivalent-inverter
         reduction, no batched simulation plan.
     max_bytes:
-        Memory budget for the batched engines' waveform matrices; uncached
+        Memory budget for the integrator's waveform matrices; uncached
         conditions are split into deterministic chunks integrated one after
         the other (conditions are independent, so the per-condition results
         are identical to the one-pass batch -- for the adaptive engine each
@@ -149,8 +137,7 @@ def sweep_conditions(
     label = counter_label or f"sweep:{cell.name}"
     resolved_arc = arc if arc is not None else default_arc(cell)
 
-    simulation_cache = (get_simulation_cache()
-                        if cache and engine != "serial" else None)
+    simulation_cache = get_simulation_cache() if cache else None
     variation_fp = (variation.fingerprint() if variation is not None
                     else "nominal")
 
@@ -182,37 +169,23 @@ def sweep_conditions(
         # least one condition actually needs integrating.
         inverter = reduce_cell_cached(cell, technology, arc=resolved_arc,
                                       variation=variation)
-        if engine in ("batched", "adaptive"):
-            triples = np.array([conditions[i] for i in missing], dtype=float)
-            n_seeds = variation.n_seeds if variation is not None else 1
-            item_bytes = transient_item_bytes(n_seeds, stepper.n_steps)
-            # Chunks integrate one after the other and scatter their results
-            # immediately, so each chunk's waveform matrices are freed before
-            # the next one allocates (the point of the budget).
-            for rows in plan_chunks(len(missing), item_bytes,
-                                    resolve_max_bytes(max_bytes)):
-                if engine == "adaptive":
-                    result = simulate_arc_transitions_adaptive(
-                        inverter, triples[rows, 0], triples[rows, 1],
-                        triples[rows, 2], stepper=stepper)
-                else:
-                    result = simulate_arc_transitions(
-                        inverter, triples[rows, 0], triples[rows, 1],
-                        triples[rows, 2], n_steps=stepper.n_steps)
-                record_integration_stats(ledger, result.stats)
-                batch_delay = result.delay()
-                batch_slew = result.output_slew()
-                for row, index in enumerate(missing[rows]):
-                    delays[index] = np.asarray(batch_delay[row], dtype=float)
-                    slews[index] = np.asarray(batch_slew[row], dtype=float)
-        else:
-            for index in missing:
-                sin, cload, vdd = conditions[index]
-                result = simulate_arc_transition(inverter, sin=sin,
-                                                 cload=cload, vdd=vdd,
-                                                 n_steps=stepper.n_steps)
-                delays[index] = np.asarray(result.delay(), dtype=float)
-                slews[index] = np.asarray(result.output_slew(), dtype=float)
+        triples = np.array([conditions[i] for i in missing], dtype=float)
+        n_seeds = variation.n_seeds if variation is not None else 1
+        item_bytes = transient_item_bytes(n_seeds, stepper.n_steps)
+        # Chunks integrate one after the other and scatter their results
+        # immediately, so each chunk's waveform matrices are freed before
+        # the next one allocates (the point of the budget).
+        for rows in plan_chunks(len(missing), item_bytes,
+                                resolve_max_bytes(max_bytes)):
+            result = simulate_arc_transitions(
+                inverter, triples[rows, 0], triples[rows, 1],
+                triples[rows, 2], stepper=stepper)
+            record_integration_stats(ledger, result.stats)
+            batch_delay = result.delay()
+            batch_slew = result.output_slew()
+            for row, index in enumerate(missing[rows]):
+                delays[index] = np.asarray(batch_delay[row], dtype=float)
+                slews[index] = np.asarray(batch_slew[row], dtype=float)
         if simulation_cache is not None:
             for index in missing:
                 simulation_cache.put(keys[index], delays[index], slews[index])

@@ -15,10 +15,10 @@ library characterization needs:
 
 All measurements are vectorized: a :class:`Waveform` measures every seed in
 one array pass, and a :class:`WaveformBatch` measures a whole
-``(n_conditions, n_seeds)`` sweep at once (the extraction side of the batched
-transient engine in :mod:`repro.spice.batch`).
+``(n_conditions, n_seeds)`` sweep at once (the extraction side of the
+lockstep transient integrator in :mod:`repro.spice.transient`).
 
-**Dense output.**  The adaptive engine (:mod:`repro.spice.adaptive`) samples
+**Dense output.**  The integrator's adaptive (RK45) tableau samples
 each condition on its own *non-uniform* grid whose spacing tracks the local
 error, so chord interpolation between samples would lose accuracy exactly
 where the steps are widest.  Both waveform classes therefore accept an

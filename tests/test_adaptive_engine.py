@@ -1,12 +1,13 @@
-"""Tests for the adaptive (Dormand-Prince RK45) transient engine.
+"""Tests for the adaptive (Dormand-Prince RK45) tableau of the integrator.
 
 Covers accuracy parity against a refined fixed-step reference (the honest
 comparison: the fixed engine converges *to* the adaptive answer as its step
-count grows), the single-condition wrapper, integration-stats accounting and
-ledger recording, bit-identical results under memory-budget chunking and
-across executor concurrency modes, window-exhaustion and quarantine
-behavior, the ``adaptive.reject`` rejection-storm fault site, stepper-aware
-simulation-cache keys, and the runtime engine/tolerance configuration knobs.
+count grows), row locality of single-condition results, integration-stats
+accounting and ledger recording, bit-identical results under memory-budget
+chunking and across executor concurrency modes, and -- for both tableaus
+-- window exhaustion, quarantine and the fault sites, plus the
+``adaptive.reject`` rejection storm, stepper-aware simulation-cache keys,
+and the runtime engine/tolerance configuration knobs.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from repro.runtime.faultinject import FaultSpec
 from repro.spice import (
     StepperSpec,
     get_simulation_cache,
-    simulate_arc_transition_adaptive,
     simulate_arc_transitions,
-    simulate_arc_transitions_adaptive,
     sweep_conditions,
 )
-from repro.spice import transient as serial_engine
+from repro.spice import transient
 from repro.spice.stepper import resolve_stepper
 from repro.spice.testbench import SimulationCache
 
@@ -40,6 +39,11 @@ GRID = [
     (14e-12, 1e-15, 0.7),
     (4e-12, 3e-15, 0.62),
 ]
+
+#: The default adaptive scheme.
+RK45 = StepperSpec(method="rk45")
+#: Both tableaus, for the contracts every scheme must honor.
+METHODS = pytest.mark.parametrize("method", ["rk4", "rk45"])
 
 
 @pytest.fixture(autouse=True)
@@ -66,10 +70,10 @@ class TestAccuracyParity:
 
         reference = simulate_arc_transitions(
             inverter, sin, cload, vdd,
-            n_steps=16 * serial_engine.DEFAULT_STEPS)
+            n_steps=16 * transient.DEFAULT_STEPS)
         fixed = simulate_arc_transitions(inverter, sin, cload, vdd)
-        adaptive = simulate_arc_transitions_adaptive(inverter, sin, cload,
-                                                     vdd)
+        adaptive = simulate_arc_transitions(inverter, sin, cload, vdd,
+                                            stepper=RK45)
 
         ref_delay, ref_slew = reference.delay(), reference.output_slew()
         fixed_err = np.max(np.abs(fixed.delay() / ref_delay - 1.0))
@@ -82,13 +86,18 @@ class TestAccuracyParity:
         assert slew_err < np.max(np.abs(fixed.output_slew() / ref_slew - 1.0))
 
     def test_single_condition_wrapper_matches_batch(self, tech28, inv_cell):
+        # A condition simulated alone (wrapped as a single-condition
+        # result) equals its row inside a larger batch: the adaptive
+        # controller is row-local.
         inverter = reduce_cell(inv_cell, tech28)
-        single = simulate_arc_transition_adaptive(inverter, sin=5e-12,
-                                                  cload=2e-15, vdd=0.9)
-        batch = simulate_arc_transitions_adaptive(inverter, [5e-12], [2e-15],
-                                                  [0.9])
-        assert np.array_equal(single.delay(), batch.delay()[0])
-        assert np.array_equal(single.output_slew(), batch.output_slew()[0])
+        single = simulate_arc_transitions(inverter, [5e-12], [2e-15], [0.9],
+                                          stepper=RK45).condition(0)
+        sin, cload, vdd = (np.array(axis) for axis in zip(*GRID))
+        batch = simulate_arc_transitions(inverter, sin, cload, vdd,
+                                         stepper=RK45)
+        assert single.output_waveform.derivative is not None
+        assert np.array_equal(single.delay(), batch.delay()[1])
+        assert np.array_equal(single.output_slew(), batch.output_slew()[1])
 
 
 class TestIntegrationStats:
@@ -96,8 +105,8 @@ class TestIntegrationStats:
         inverter = reduce_cell(inv_cell, tech28)
         sin, cload, vdd = (np.array(axis) for axis in zip(*GRID))
         fixed = simulate_arc_transitions(inverter, sin, cload, vdd)
-        adaptive = simulate_arc_transitions_adaptive(inverter, sin, cload,
-                                                     vdd)
+        adaptive = simulate_arc_transitions(inverter, sin, cload, vdd,
+                                            stepper=RK45)
         assert fixed.stats.method == "rk4"
         assert adaptive.stats.method == "rk45"
         # Fixed cost is exact: 4 stage evaluations per step per condition.
@@ -120,16 +129,17 @@ class TestIntegrationStats:
 
 
 class TestDeterminism:
-    def test_chunked_sweep_bit_identical(self, tech28, nand2_cell):
+    @pytest.mark.parametrize("engine", ["batched", "adaptive"])
+    def test_chunked_sweep_bit_identical(self, tech28, nand2_cell, engine):
         variation = tech28.variation.sample(4, rng=9)
         get_simulation_cache().clear()
         one_pass = sweep_conditions(nand2_cell, tech28, GRID,
-                                    variation=variation, engine="adaptive",
+                                    variation=variation, engine=engine,
                                     cache=False)
-        # A tiny budget forces one condition per chunk; the adaptive
-        # controller is fully row-local, so results are bit-identical.
+        # A tiny budget forces one condition per chunk; every row's steps
+        # are row-local under both tableaus, so results are bit-identical.
         chunked = sweep_conditions(nand2_cell, tech28, GRID,
-                                   variation=variation, engine="adaptive",
+                                   variation=variation, engine=engine,
                                    cache=False, max_bytes=1)
         for a, b in zip(one_pass, chunked):
             assert np.array_equal(a.delay, b.delay)
@@ -138,42 +148,85 @@ class TestDeterminism:
     def test_repeat_runs_bit_identical(self, tech28, inv_cell):
         inverter = reduce_cell(inv_cell, tech28)
         sin, cload, vdd = (np.array(axis) for axis in zip(*GRID))
-        first = simulate_arc_transitions_adaptive(inverter, sin, cload, vdd)
-        second = simulate_arc_transitions_adaptive(inverter, sin, cload, vdd)
+        first = simulate_arc_transitions(inverter, sin, cload, vdd,
+                                         stepper=RK45)
+        second = simulate_arc_transitions(inverter, sin, cload, vdd,
+                                          stepper=RK45)
         assert np.array_equal(first.delay(), second.delay())
         assert np.array_equal(first.output_slew(), second.output_slew())
 
 
 class TestFailureModes:
+    @METHODS
     def test_window_exhaustion_raises_with_reason(self, tech28, inv_cell,
-                                                  monkeypatch):
-        # Starve the solver exactly as the fixed engines are starved: the
-        # adaptive horizon honors the (monkeypatched) extension budget.
-        monkeypatch.setattr(serial_engine, "_WINDOW_MARGIN", 1e-3)
-        monkeypatch.setattr(serial_engine, "_MAX_EXTENSIONS", 1)
+                                                  monkeypatch, method):
+        # Starve the solver: the fixed grid gets one short window and the
+        # adaptive horizon honors the same (monkeypatched) budget.
+        monkeypatch.setattr(transient, "_WINDOW_MARGIN", 1e-3)
+        monkeypatch.setattr(transient, "_MAX_EXTENSIONS", 1)
         inverter = reduce_cell(inv_cell, tech28)
-        with pytest.raises(RuntimeError, match="did not complete"):
-            simulate_arc_transitions_adaptive(inverter, [5e-12], [4e-15],
-                                              [0.7])
-        with pytest.raises(RuntimeError, match="adaptive stepper"):
-            simulate_arc_transitions_adaptive(inverter, [5e-12], [4e-15],
-                                              [0.7])
+        with pytest.raises(RuntimeError, match="did not complete") as info:
+            simulate_arc_transitions(inverter, [5e-12], [4e-15], [0.7],
+                                     stepper=StepperSpec(method=method))
+        assert "cload=4e-15" in str(info.value)
+        assert "window exhausted" in str(info.value)
 
+    @METHODS
     def test_quarantine_mode_yields_nan_rows(self, tech28, inv_cell,
-                                             monkeypatch):
-        monkeypatch.setattr(serial_engine, "_WINDOW_MARGIN", 1e-3)
-        monkeypatch.setattr(serial_engine, "_MAX_EXTENSIONS", 1)
+                                             monkeypatch, method):
+        monkeypatch.setattr(transient, "_WINDOW_MARGIN", 1e-3)
+        monkeypatch.setattr(transient, "_MAX_EXTENSIONS", 1)
         inverter = reduce_cell(inv_cell, tech28)
-        result = simulate_arc_transitions_adaptive(
-            inverter, [5e-12], [4e-15], [0.7], on_failure="quarantine")
+        result = simulate_arc_transitions(
+            inverter, [5e-12], [4e-15], [0.7], on_failure="quarantine",
+            stepper=StepperSpec(method=method))
         assert result.quarantined[0]
         assert np.all(np.isnan(result.delay()[0]))
 
     def test_invalid_on_failure_rejected(self, tech28, inv_cell):
         inverter = reduce_cell(inv_cell, tech28)
         with pytest.raises(ValueError, match="on_failure"):
-            simulate_arc_transitions_adaptive(inverter, [5e-12], [2e-15],
-                                              [0.9], on_failure="ignore")
+            simulate_arc_transitions(inverter, [5e-12], [2e-15], [0.9],
+                                     on_failure="ignore", stepper=RK45)
+
+    @METHODS
+    def test_integrate_fault_site_fires(self, tech28, inv_cell, method):
+        inverter = reduce_cell(inv_cell, tech28)
+        spec = FaultSpec(site="transient.integrate", kind="exception",
+                         at_calls=(0,))
+        with faultinject.inject([spec], seed=0):
+            with pytest.raises(faultinject.InjectedFault):
+                simulate_arc_transitions(inverter, [5e-12], [2e-15], [0.9],
+                                         stepper=StepperSpec(method=method))
+
+    # transient.state fires once, on the full post-ramp state; the
+    # adaptive.reject payload shrinks as rows retire, so it poisons the
+    # last row, which dies (step-size underflow) before any row completes.
+    @pytest.mark.parametrize("method, site, row",
+                             [("rk4", "transient.state", 1),
+                              ("rk45", "adaptive.reject", 2)])
+    def test_row_fault_site_quarantines_only_its_row(self, tech28, inv_cell,
+                                                     method, site, row):
+        # Each tableau's row fault site poisons one row: that row alone is
+        # quarantined and the others match a clean run bit for bit.
+        inverter = reduce_cell(inv_cell, tech28)
+        sin, cload, vdd = (np.array(axis) for axis in zip(*GRID[:3]))
+        stepper = StepperSpec(method=method)
+        clean = simulate_arc_transitions(inverter, sin, cload, vdd,
+                                         stepper=stepper)
+        spec = FaultSpec(site=site, kind="nan", rate=1.0, rows=(row,))
+        with faultinject.inject([spec], seed=0):
+            with pytest.raises(RuntimeError, match="did not complete"):
+                simulate_arc_transitions(inverter, sin, cload, vdd,
+                                         stepper=stepper)
+        with faultinject.inject([spec], seed=0):
+            result = simulate_arc_transitions(inverter, sin, cload, vdd,
+                                              on_failure="quarantine",
+                                              stepper=stepper)
+        assert result.quarantined_indices().tolist() == [row]
+        assert np.all(np.isnan(result.delay()[row]))
+        for other in {0, 1, 2} - {row}:
+            assert np.array_equal(result.delay()[other], clean.delay()[other])
 
     def test_rejection_storm_fault_site(self, tech28, inv_cell):
         assert "adaptive.reject" in faultinject.fault_sites()
@@ -185,17 +238,17 @@ class TestFailureModes:
             # underflows the step size before the storm counter trips.
             with pytest.raises(RuntimeError,
                                match="step-size underflow|rejection storm"):
-                simulate_arc_transitions_adaptive(inverter, [5e-12], [2e-15],
-                                                  [0.9])
+                simulate_arc_transitions(inverter, [5e-12], [2e-15], [0.9],
+                                         stepper=RK45)
         # Poison the *last* active row: once it dies and the active set
         # compacts, row index 1 no longer exists and the survivor (still
         # row 0 after prefix compaction) integrates untouched.
         storm = FaultSpec(site="adaptive.reject", kind="nan", rate=1.0,
                           rows=(1,))
         with faultinject.inject([storm], seed=1):
-            result = simulate_arc_transitions_adaptive(
+            result = simulate_arc_transitions(
                 inverter, [5e-12, 5e-12], [2e-15, 2e-15], [0.9, 0.9],
-                on_failure="quarantine")
+                on_failure="quarantine", stepper=RK45)
         assert result.quarantined[1]
         assert not result.quarantined[0]
         assert np.all(np.isfinite(result.delay()[0]))
@@ -287,7 +340,7 @@ class TestLibraryConcurrency:
 
 class TestRuntimeKnobs:
     def test_engine_resolution_order(self):
-        assert runtime.resolve_transient_engine("serial") == "serial"
+        assert runtime.resolve_transient_engine("adaptive") == "adaptive"
         runtime.configure(transient_engine="adaptive")
         assert runtime.resolve_transient_engine(None) == "adaptive"
         assert runtime.resolve_transient_engine("batched") == "batched"
@@ -297,6 +350,17 @@ class TestRuntimeKnobs:
             runtime.resolve_transient_engine("rk4")
         with pytest.raises(ValueError, match="transient_engine"):
             runtime.configure(transient_engine="euler")
+
+    def test_serial_engine_name_rejected(self, tech28, inv_cell, monkeypatch):
+        # The serial integrator is a test oracle, not an engine name.
+        assert runtime.TRANSIENT_ENGINES == ("batched", "adaptive")
+        with pytest.raises(ValueError, match="engine"):
+            sweep_conditions(inv_cell, tech28, GRID[:1], engine="serial")
+        with pytest.raises(ValueError, match="transient_engine"):
+            runtime.configure(transient_engine="serial")
+        monkeypatch.setenv("REPRO_TRANSIENT_ENGINE", "serial")
+        with pytest.raises(ValueError, match="transient_engine"):
+            runtime._bootstrap_from_env()
 
     def test_tolerance_knobs_resolve_into_default_stepper(self):
         runtime.configure(transient_rtol=1e-5, transient_atol_frac=1e-4)
@@ -312,10 +376,10 @@ class TestRuntimeKnobs:
 
     def test_loose_tolerance_costs_fewer_evaluations(self, tech28, inv_cell):
         inverter = reduce_cell(inv_cell, tech28)
-        tight = simulate_arc_transitions_adaptive(
+        tight = simulate_arc_transitions(
             inverter, [5e-12], [2e-15], [0.9],
             stepper=StepperSpec(method="rk45", rtol=1e-9, atol_frac=1e-9))
-        loose = simulate_arc_transitions_adaptive(
+        loose = simulate_arc_transitions(
             inverter, [5e-12], [2e-15], [0.9],
             stepper=StepperSpec(method="rk45", rtol=1e-5, atol_frac=1e-5))
         assert loose.stats.rhs_evals < tight.stats.rhs_evals

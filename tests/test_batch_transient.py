@@ -1,7 +1,8 @@
-"""Tests for the batched multi-condition transient engine.
+"""Tests for the lockstep multi-condition transient integrator.
 
-Covers batched-vs-serial equivalence over a grid of conditions, seeds and
-both transition polarities, the window-extension path, the non-functional
+Covers RK4 parity with the serial oracle (``tests/oracles``) over a grid of
+conditions, seeds and both transition polarities, input validation under
+both tableaus, the window-extension path, the non-functional
 ``RuntimeError`` branch, ``WaveformBatch`` measurements, and the simulation /
 reduction caches.
 """
@@ -15,14 +16,15 @@ from repro.cells import Transition, clear_reduction_cache, reduce_cell, reduce_c
 from repro.spice import (
     RampStimulus,
     SimulationCounter,
+    StepperSpec,
     Waveform,
     WaveformBatch,
     get_simulation_cache,
-    simulate_arc_transition,
     simulate_arc_transitions,
     sweep_conditions,
 )
-from repro.spice import transient as serial_engine
+from repro.spice import transient
+from tests.oracles.serial_transient import simulate_arc_transition
 
 #: Mixed grid spanning slews, loads and supplies (including a slow low-Vdd
 #: corner so conditions retire from the active set at different times).
@@ -35,7 +37,7 @@ GRID = [
 ]
 
 
-def _serial_reference(inverter, conditions, n_steps=serial_engine.DEFAULT_STEPS):
+def _serial_reference(inverter, conditions, n_steps=transient.DEFAULT_STEPS):
     delays, slews = [], []
     for sin, cload, vdd in conditions:
         result = simulate_arc_transition(inverter, sin=sin, cload=cload,
@@ -63,13 +65,15 @@ class TestBatchedSerialEquivalence:
                                    atol=0.0)
 
     def test_sweep_engines_agree(self, tech14, inv_cell):
+        # The sweep front end (virtual-source devices, generic current path)
+        # against the serial oracle, condition by condition.
         batched = sweep_conditions(inv_cell, tech14, GRID, engine="batched",
                                    cache=False)
-        serial = sweep_conditions(inv_cell, tech14, GRID, engine="serial",
-                                  cache=False)
-        for b, s in zip(batched, serial):
-            np.testing.assert_allclose(b.delay, s.delay, rtol=1e-9)
-            np.testing.assert_allclose(b.output_slew, s.output_slew, rtol=1e-9)
+        inverter = reduce_cell(inv_cell, tech14)
+        ref_delay, ref_slew = _serial_reference(inverter, GRID)
+        for b, delay, slew in zip(batched, ref_delay, ref_slew):
+            np.testing.assert_allclose(b.delay, delay, rtol=1e-9)
+            np.testing.assert_allclose(b.output_slew, slew, rtol=1e-9)
 
     def test_sweep_rejects_unknown_engine(self, tech14, inv_cell):
         with pytest.raises(ValueError):
@@ -88,17 +92,25 @@ class TestBatchedSerialEquivalence:
         np.testing.assert_allclose(single.output_slew(),
                                    reference.output_slew(), rtol=1e-9)
 
-    def test_input_validation(self, tech14, inv_cell):
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_input_validation(self, tech14, inv_cell, method):
         inverter = reduce_cell(inv_cell, tech14)
+        stepper = StepperSpec(method=method)
         with pytest.raises(ValueError):
-            simulate_arc_transitions(inverter, [], [], [])
+            simulate_arc_transitions(inverter, [], [], [], stepper=stepper)
         with pytest.raises(ValueError):
-            simulate_arc_transitions(inverter, [1e-12, 2e-12], [1e-15], [0.8])
+            simulate_arc_transitions(inverter, [1e-12, 2e-12], [1e-15], [0.8],
+                                     stepper=stepper)
         with pytest.raises(ValueError):
-            simulate_arc_transitions(inverter, [0.0], [1e-15], [0.8])
-        with pytest.raises(ValueError):
+            simulate_arc_transitions(inverter, [0.0], [1e-15], [0.8],
+                                     stepper=stepper)
+        with pytest.raises(ValueError, match="non-finite"):
+            simulate_arc_transitions(inverter, [1e-12], [np.inf], [0.8],
+                                     stepper=stepper)
+        with pytest.raises(ValueError, match="n_steps"):
             simulate_arc_transitions(inverter, [1e-12], [1e-15], [0.8],
-                                     n_steps=4)
+                                     stepper=StepperSpec(method=method,
+                                                         n_steps=4))
 
 
 class TestWindowExtension:
@@ -107,7 +119,7 @@ class TestWindowExtension:
         # Shrink the safety margin so the first window is too short and the
         # geometric extension loop has to run; both engines read the margin
         # from the serial module, so they stay in lockstep.
-        monkeypatch.setattr(serial_engine, "_WINDOW_MARGIN", 0.4)
+        monkeypatch.setattr(transient, "_WINDOW_MARGIN", 0.4)
         inverter = reduce_cell(inv_cell, tech28)
         sin, cload, vdd = (np.array(axis) for axis in zip(*GRID))
         batch = simulate_arc_transitions(inverter, sin, cload, vdd)
@@ -117,21 +129,20 @@ class TestWindowExtension:
 
     def test_extension_grows_the_waveform(self, tech28, inv_cell, monkeypatch):
         inverter = reduce_cell(inv_cell, tech28)
-        base = simulate_arc_transition(inverter, sin=5e-12, cload=2e-15,
-                                       vdd=0.9)
-        monkeypatch.setattr(serial_engine, "_WINDOW_MARGIN", 0.4)
-        extended = simulate_arc_transition(inverter, sin=5e-12, cload=2e-15,
-                                           vdd=0.9)
+        base = simulate_arc_transitions(inverter, [5e-12], [2e-15], [0.9])
+        monkeypatch.setattr(transient, "_WINDOW_MARGIN", 0.4)
+        extended = simulate_arc_transitions(inverter, [5e-12], [2e-15], [0.9])
         # The tight margin forces at least one extra chunk beyond the base
         # ramp+tail sample count.
-        assert extended.output_waveform.time.size > 0
-        assert extended.output_waveform.final_value()[0] < 0.1 * 0.9
-        assert base.output_waveform.final_value()[0] < 0.1 * 0.9
+        assert (extended.output_waveforms.valid_len[0]
+                > base.output_waveforms.valid_len[0])
+        assert extended.output_waveforms.final_value()[0, 0] < 0.1 * 0.9
+        assert base.output_waveforms.final_value()[0, 0] < 0.1 * 0.9
 
     def test_stragglers_retire_later_than_fast_conditions(self, tech28,
                                                           inv_cell,
                                                           monkeypatch):
-        monkeypatch.setattr(serial_engine, "_WINDOW_MARGIN", 0.4)
+        monkeypatch.setattr(transient, "_WINDOW_MARGIN", 0.4)
         inverter = reduce_cell(inv_cell, tech28)
         sin, cload, vdd = (np.array(axis) for axis in zip(*GRID))
         batch = simulate_arc_transitions(inverter, sin, cload, vdd)
@@ -142,21 +153,14 @@ class TestWindowExtension:
 
     def test_non_functional_condition_raises(self, tech28, inv_cell,
                                              monkeypatch):
-        # Starve the solver: tiny window, no extensions allowed.
-        monkeypatch.setattr(serial_engine, "_WINDOW_MARGIN", 1e-3)
-        monkeypatch.setattr(serial_engine, "_MAX_EXTENSIONS", 1)
+        # Starve the solver: tiny window, no extensions allowed.  The oracle
+        # and the engine share the window policy, so both give up.
+        monkeypatch.setattr(transient, "_WINDOW_MARGIN", 1e-3)
+        monkeypatch.setattr(transient, "_MAX_EXTENSIONS", 1)
         inverter = reduce_cell(inv_cell, tech28)
         with pytest.raises(RuntimeError, match="did not complete"):
             simulate_arc_transition(inverter, sin=5e-12, cload=4e-15, vdd=0.7)
         with pytest.raises(RuntimeError, match="did not complete"):
-            simulate_arc_transitions(inverter, [5e-12], [4e-15], [0.7])
-
-    def test_batched_error_reports_incomplete_condition(self, tech28, inv_cell,
-                                                        monkeypatch):
-        monkeypatch.setattr(serial_engine, "_WINDOW_MARGIN", 1e-3)
-        monkeypatch.setattr(serial_engine, "_MAX_EXTENSIONS", 1)
-        inverter = reduce_cell(inv_cell, tech28)
-        with pytest.raises(RuntimeError, match="cload=4e-15"):
             simulate_arc_transitions(inverter, [5e-12], [4e-15], [0.7])
 
 

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.cells import reduce_cell
-from repro.spice import simulate_arc_transition_adaptive, simulate_arc_transitions
-from repro.spice import transient as serial_engine
+from repro.spice import StepperSpec, simulate_arc_transitions
+from repro.spice import transient
 from repro.spice.waveform import Waveform, WaveformBatch
 
 #: Deliberately non-uniform sample times on [0, 1] (adaptive-style grid).
@@ -120,8 +120,9 @@ class TestWaveformBatchDenseOutput:
 class TestAdaptiveGridExtraction:
     def test_adaptive_waveforms_carry_derivatives(self, tech28, inv_cell):
         inverter = reduce_cell(inv_cell, tech28)
-        result = simulate_arc_transition_adaptive(inverter, sin=5e-12,
-                                                  cload=2e-15, vdd=0.9)
+        result = simulate_arc_transitions(
+            inverter, [5e-12], [2e-15], [0.9],
+            stepper=StepperSpec(method="rk45")).condition(0)
         wave = result.output_waveform
         assert wave.derivative is not None
         # The grid really is non-uniform (that is the whole point).
@@ -137,10 +138,11 @@ class TestAdaptiveGridExtraction:
         inverter = reduce_cell(inv_cell, tech28)
         refined = simulate_arc_transitions(
             inverter, [5e-12], [2e-15], [0.9],
-            n_steps=16 * serial_engine.DEFAULT_STEPS)
+            n_steps=16 * transient.DEFAULT_STEPS)
         nominal = simulate_arc_transitions(inverter, [5e-12], [2e-15], [0.9])
-        adaptive = simulate_arc_transition_adaptive(inverter, sin=5e-12,
-                                                    cload=2e-15, vdd=0.9)
+        adaptive = simulate_arc_transitions(
+            inverter, [5e-12], [2e-15], [0.9],
+            stepper=StepperSpec(method="rk45")).condition(0)
         assert adaptive.output_waveform.time.size < \
             nominal.output_waveforms.time.shape[1] / 4
         np.testing.assert_allclose(adaptive.delay(), refined.delay()[0],

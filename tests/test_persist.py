@@ -261,6 +261,76 @@ class TestInjectedFilesystemFaults:
         assert store.stats().evictions == 0
         assert len(store) == 1
 
+    def test_fresh_empty_lock_is_held_until_it_ages(self, tmp_path):
+        # An empty lock file is what a non-atomic writer leaves between
+        # creating the file and writing its pid: it must read as held, not
+        # as abandoned, until its mtime says it really was abandoned.
+        store = DiskStore(tmp_path / "s", stale_lock_s=3600.0)
+        store.put(("a",), np.full(256, 1.0))
+        lock = tmp_path / "s" / ".lock"
+        lock.write_text("")
+        store.set_max_bytes(1)
+        assert store.stats().stale_locks_broken == 0
+        assert store.stats().evictions == 0
+        assert lock.exists()
+        old = __import__("time").time() - 7200.0
+        os.utime(lock, (old, old))
+        store.set_max_bytes(2)
+        assert store.stats().stale_locks_broken == 1
+        assert store.stats().evictions == 1
+        assert not lock.exists()
+
+    def test_only_the_owner_releases_the_lock(self, tmp_path):
+        owner = DiskStore(tmp_path / "s")
+        other = DiskStore(tmp_path / "s")
+        lock = tmp_path / "s" / ".lock"
+        token = owner._acquire_lock()
+        assert token is not None and lock.read_text() == token
+        assert other._acquire_lock() is None  # held, not stale
+        other._release_lock("someone-else")
+        assert lock.read_text() == token
+        owner._release_lock(token)
+        assert not lock.exists()
+
+    def test_shared_handle_counters_survive_thread_contention(self, tmp_path):
+        # One handle shared by more threads than cores, with a tiny switch
+        # interval: a lost counter update would break these invariants.
+        import sys
+        import threading
+
+        store = DiskStore(tmp_path / "s")
+        n_threads, n_puts, n_gets = 8, 8, 150
+        errors = []
+
+        def worker(tid):
+            try:
+                for index in range(n_puts):
+                    store.put((tid, index), np.full(16, float(index)))
+                for index in range(n_gets):
+                    store.get((index % n_threads, index % (2 * n_puts)))
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(tid,))
+                       for tid in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        stats = store.stats()
+        assert stats.hits + stats.misses == n_threads * n_gets
+        assert stats.writes == stats.entries == n_threads * n_puts
+        on_disk = sum(path.stat().st_size
+                      for path in (tmp_path / "s" / "entries").rglob("*.entry"))
+        assert stats.current_bytes == on_disk
+
     def test_stale_lock_broken_under_concurrent_writers(self, tmp_path):
         """Two genuinely concurrent writer threads against one abandoned lock.
 

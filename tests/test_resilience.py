@@ -47,7 +47,7 @@ from repro.runtime.resilience import (
     resolve_strict,
     run_with_retry,
 )
-from repro.spice.batch import simulate_arc_transitions
+from repro.spice.transient import simulate_arc_transitions
 
 
 # ---------------------------------------------------------------------------

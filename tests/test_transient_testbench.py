@@ -9,7 +9,7 @@ from repro.cells import Transition, reduce_cell
 from repro.spice import (
     SimulationCounter,
     characterize_arc,
-    simulate_arc_transition,
+    simulate_arc_transitions,
     sweep_conditions,
 )
 from repro.spice.testbench import characterize_cell_nominal
@@ -19,7 +19,8 @@ class TestTransientSolver:
     def test_falling_output_completes(self, tech14, inv_cell):
         inverter = reduce_cell(inv_cell, tech14,
                                arc=inv_cell.arc("A", Transition.FALL))
-        result = simulate_arc_transition(inverter, sin=5e-12, cload=2e-15, vdd=0.8)
+        result = simulate_arc_transitions(inverter, [5e-12], [2e-15],
+                                          [0.8]).condition(0)
         final = result.output_waveform.final_value()[0]
         assert final < 0.1 * 0.8
         assert result.delay()[0] > 0.0
@@ -27,16 +28,17 @@ class TestTransientSolver:
     def test_rising_output_completes(self, tech14, inv_cell):
         inverter = reduce_cell(inv_cell, tech14,
                                arc=inv_cell.arc("A", Transition.RISE))
-        result = simulate_arc_transition(inverter, sin=5e-12, cload=2e-15, vdd=0.8)
+        result = simulate_arc_transitions(inverter, [5e-12], [2e-15],
+                                          [0.8]).condition(0)
         assert result.output_waveform.final_value()[0] > 0.9 * 0.8
 
     def test_invalid_arguments(self, tech14, inv_cell):
         inverter = reduce_cell(inv_cell, tech14)
         with pytest.raises(ValueError):
-            simulate_arc_transition(inverter, sin=0.0, cload=1e-15, vdd=0.8)
+            simulate_arc_transitions(inverter, [0.0], [1e-15], [0.8])
         with pytest.raises(ValueError):
-            simulate_arc_transition(inverter, sin=1e-12, cload=1e-15, vdd=0.8,
-                                    n_steps=4)
+            simulate_arc_transitions(inverter, [1e-12], [1e-15], [0.8],
+                                     n_steps=4)
 
     def test_seed_vectorization_matches_scalar_runs(self, tech28, inv_cell):
         variation = tech28.variation.sample(3, rng=5)
