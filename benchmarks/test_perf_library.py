@@ -1,4 +1,4 @@
-"""Library-scale throughput benchmark: fused versus per-arc pipeline.
+"""Library-scale throughput benchmark: fused pipeline versus the per-arc oracle.
 
 The fused pipeline of :func:`repro.core.library_flow.characterize_library`
 is the last big per-Python-loop consolidation of the flow: instead of one
@@ -14,9 +14,10 @@ solves.  This benchmark measures that consolidation on a realistic workload:
   setup: every arc is characterized on the same slew/load/supply points,
   which is exactly where the fused planner's physical-row dedup pays off --
   footprint twins on a shared grid are the same simulation);
-* both pipelines run on a cold simulation cache (so both genuinely
-  simulate), equivalence asserted at ``rtol <= 1e-9`` together with
-  identical simulation accounting.
+* the fused pipeline and the per-arc oracle
+  (``tests/oracles/per_arc.py``, the pre-fusion flow) both run on a cold
+  simulation cache (so both genuinely simulate), equivalence asserted at
+  ``rtol <= 1e-9`` together with identical simulation accounting.
 
 The wall-clock ratio must clear ``REPRO_BENCH_LIB_MIN_SPEEDUP`` and the
 record lands in ``BENCH_library.json`` (full-size numbers on dedicated
@@ -48,6 +49,7 @@ from repro.core.prior_learning import (
     learn_prior,
 )
 from repro.spice.testbench import get_simulation_cache
+from tests.oracles.per_arc import characterize_library_per_arc
 
 #: Catalog templates the synthetic library cycles over; drive-strength
 #: variants keep several distinct device signatures in the mix.
@@ -84,22 +86,24 @@ def test_fused_library_throughput(results_dir):
     condition_grid = InputSpace(technology).sample_lhs(
         conditions, np.random.default_rng(23))
 
-    def run(pipeline: str):
+    def run(flow):
         # Every registered cache (simulation, reduction, ieff, ...) starts
-        # cold for both pipelines, so neither inherits state the other paid
-        # to build.
+        # cold for both flows, so neither inherits state the other paid to
+        # build.
         runtime.clear_all_caches()
         counter = SimulationCounter()
         ledger = RunLedger()
         start = time.perf_counter()
-        result = characterize_library(
+        result = flow(
             technology, library, delay_prior, slew_prior,
             conditions=condition_grid, n_seeds=n_seeds, rng=17,
-            counter=counter, ledger=ledger, pipeline=pipeline)
+            counter=counter, ledger=ledger)
         return result, counter, ledger, time.perf_counter() - start
 
-    per_arc, per_arc_counter, _, per_arc_seconds = run("per_arc")
-    fused, fused_counter, fused_ledger, fused_seconds = run("fused")
+    per_arc, per_arc_counter, _, per_arc_seconds = run(
+        characterize_library_per_arc)
+    fused, fused_counter, fused_ledger, fused_seconds = run(
+        characterize_library)
 
     # ------------------------------------------------------------------
     # Equivalence and identical accounting.
@@ -122,7 +126,7 @@ def test_fused_library_throughput(results_dir):
 
     print(f"\nLibrary: {n_cells} cells / {n_arcs} arcs x {n_seeds} seeds x "
           f"{conditions} conditions")
-    print(f"per-arc pipeline: {per_arc_seconds:.3f} s")
+    print(f"per-arc oracle  : {per_arc_seconds:.3f} s")
     print(f"fused pipeline  : {fused_seconds:.3f} s  ({speedup:.1f}x, "
           f"{metrics.get('fused_signature_groups', 0)} signature groups)")
     print("\n" + format_ledger(fused_ledger, title="Fused run ledger"))

@@ -1,4 +1,4 @@
-"""Throughput microbenchmark: scipy-loop versus batched MAP extraction.
+"""Throughput microbenchmark: scipy-loop oracle versus batched MAP extraction.
 
 After the batched transient engine removed the simulation bottleneck
 (``BENCH_transient.json``), parameter extraction became the dominant cost of
@@ -7,9 +7,9 @@ realistic workload -- ``REPRO_BENCH_MAP_SEEDS`` Monte Carlo seeds x
 ``REPRO_BENCH_MAP_CONDITIONS`` fitting conditions of one NAND2 arc, both
 responses (delay and slew) -- and times
 
-* the scipy path: one bounded trust-region ``least_squares`` per seed per
-  response (``2 x n_seeds`` solves), exactly as
-  ``StatisticalCharacterizer.characterize(..., solver="scipy")`` runs it;
+* the scipy oracle: one bounded trust-region ``least_squares`` per seed per
+  response (``2 x n_seeds`` solves; ``scipy_extract`` in
+  ``tests/oracles/per_arc.py``);
 * the batched path: one seed-vectorized Levenberg-Marquardt solve per
   response (``repro.core.batch_map.map_estimate_batch``).
 
@@ -38,8 +38,8 @@ from repro.bayes import GaussianDensity
 from repro.cells import reduce_cell_cached
 from repro.characterization.input_space import InputSpace, conditions_to_arrays
 from repro.core.batch_map import BatchMapObservations, map_estimate_batch
-from repro.core.map_estimation import MapObservations, map_estimate
 from repro.core.timing_model import fit_least_squares
+from tests.oracles.per_arc import scipy_extract
 
 
 def test_batched_map_extraction_throughput(results_dir):
@@ -90,26 +90,22 @@ def test_batched_map_extraction_throughput(results_dir):
         sin=sin, cload=cload, vdd=vdd, ieff=ieff.T[:2], response=delay.T[:2],
         beta=beta))
 
+    def observations(matrix):
+        return BatchMapObservations(sin=sin, cload=cload, vdd=vdd,
+                                    ieff=ieff.T, response=matrix.T, beta=beta)
+
+    scipy_inputs = {name: observations(matrix)
+                    for name, matrix in responses.items()}
     start = time.perf_counter()
-    scipy_params = {}
-    for name, matrix in responses.items():
-        params = np.empty((n_seeds, 4))
-        for seed in range(n_seeds):
-            observations = MapObservations(sin=sin, cload=cload, vdd=vdd,
-                                           ieff=ieff[:, seed],
-                                           response=matrix[:, seed], beta=beta)
-            params[seed] = map_estimate(priors[name],
-                                        observations).params.as_array()
-        scipy_params[name] = params
+    scipy_params = {name: scipy_extract(priors[name], scipy_inputs[name])
+                    for name in responses}
     scipy_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     batched_params = {}
     batched_converged = {}
     for name, matrix in responses.items():
-        result = map_estimate_batch(priors[name], BatchMapObservations(
-            sin=sin, cload=cload, vdd=vdd, ieff=ieff.T, response=matrix.T,
-            beta=beta))
+        result = map_estimate_batch(priors[name], observations(matrix))
         batched_params[name] = result.parameters
         batched_converged[name] = int(result.n_converged)
     batched_seconds = time.perf_counter() - start

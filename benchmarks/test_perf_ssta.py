@@ -1,4 +1,4 @@
-"""Throughput microbenchmark: loop versus level-batched SSTA graph engines.
+"""Throughput microbenchmark: loop oracle versus the level-batched SSTA engine.
 
 After the batched transient engine (``BENCH_transient.json``) and the
 batched MAP solver (``BENCH_map.json``) removed the characterization
@@ -8,8 +8,8 @@ benchmark isolates the timing-graph traversal on a seeded random layered DAG
 of ``REPRO_BENCH_SSTA_WIDTH x REPRO_BENCH_SSTA_DEPTH`` gates with
 ``REPRO_BENCH_SSTA_SEEDS`` Monte Carlo seeds and times
 
-* the loop engine: one Python iteration, one fanout walk, and one per-seed
-  timing query per gate (``MonteCarloSsta(..., engine="loop")``);
+* the loop oracle: one Python iteration and one per-seed timing query per
+  gate (``LoopMonteCarloSsta`` in ``tests/oracles/loop_timing.py``);
 * the batched engine: compiled netlist, per-level segmented
   ``np.maximum.reduceat`` reductions, one ``(gates x seeds)`` vectorized
   compact-model query per (level, cell type) group.
@@ -42,6 +42,7 @@ from repro.cells import reduce_cell_cached
 from repro.characterization.input_space import InputCondition
 from repro.core.statistical_flow import StatisticalCharacterization
 from repro.sta import MonteCarloSsta, random_layered_dag, timing_view_from_statistical
+from tests.oracles.loop_timing import LoopMonteCarloSsta
 
 #: Plausible 28 nm compact-model parameters (kd, Cpar fF, V', alpha fF/ps)
 #: per cell, jittered per seed below.
@@ -86,27 +87,27 @@ def test_batched_ssta_graph_throughput(results_dir):
     netlist = random_layered_dag(width=width, depth=depth, window=2, rng=17)
     n_gates = len(netlist.gates)
 
-    # Warm-up: compile cache, numpy first-call overheads, both engines.
+    # Warm-up: compile cache, numpy first-call overheads, engine and oracle.
     small = random_layered_dag(width=8, depth=4, rng=1)
-    MonteCarloSsta(small, view, engine="loop").run()
-    MonteCarloSsta(small, view, engine="batched").run()
+    LoopMonteCarloSsta(small, view).run()
+    MonteCarloSsta(small, view).run()
     netlist.compile()
 
-    # Best-of-N wall clock per engine (min filters scheduler noise; the
-    # loop engine gets fewer repetitions because each one is long).
+    # Best-of-N wall clock each (min filters scheduler noise; the loop
+    # oracle gets fewer repetitions because each one is long).
     loop_seconds = float("inf")
     for _ in range(2):
         start = time.perf_counter()
-        loop_report = MonteCarloSsta(netlist, view, engine="loop").run()
+        loop_report = LoopMonteCarloSsta(netlist, view).run()
         loop_seconds = min(loop_seconds, time.perf_counter() - start)
 
     batched_seconds = float("inf")
     for _ in range(5):
         start = time.perf_counter()
-        batched_report = MonteCarloSsta(netlist, view, engine="batched").run()
+        batched_report = MonteCarloSsta(netlist, view).run()
         batched_seconds = min(batched_seconds, time.perf_counter() - start)
 
-    # Both engines must produce the same distribution, path ranking and
+    # Engine and oracle must produce the same distribution, path ranking and
     # criticality (the tight grid lives in tests/test_batch_sta.py).
     assert batched_report.critical_output == loop_report.critical_output
     np.testing.assert_allclose(batched_report.delay_samples,
@@ -141,5 +142,5 @@ def test_batched_ssta_graph_throughput(results_dir):
 
     assert speedup >= min_speedup, (
         f"batched SSTA graph engine only {speedup:.2f}x faster than the loop "
-        f"engine (floor {min_speedup}x)"
+        f"oracle (floor {min_speedup}x)"
     )

@@ -8,8 +8,7 @@ This example looks inside the "historical learning" half of the flow:
 * it fuses the per-node fits into a prior with Gaussian belief propagation
   over the technology star and compares that against the simple pooled
   (empirical) estimate -- both responses learned in one *batched* BP call
-  (``learn_priors(..., engine="batched")``, identical to the scalar
-  ``engine="loop"`` path at machine precision);
+  (:func:`~repro.core.prior_learning.learn_priors`);
 * it illustrates the bias/variance trade-off in historical-library selection
   the paper discusses: a prior learned from matching (high-performance)
   nodes versus one that mixes in a low-power node;
@@ -51,8 +50,8 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # Per-node characterization and compact-model fits (Table I analogue).
-    # The default engine="fused" routes every arc of the node through one
-    # deduplicated simulation plan and one stacked least-squares solve.
+    # Every arc of the node goes through one deduplicated simulation plan
+    # and one stacked least-squares solve.
     # ------------------------------------------------------------------
     libraries = {}
     rows = []
@@ -80,7 +79,7 @@ def main() -> None:
     # Prior fusion: belief propagation versus pooled empirical estimate.
     # ------------------------------------------------------------------
     matching = [libraries[name] for name in ("n16_finfet_soi", "n28_bulk", "n45_bulk")]
-    priors = learn_priors(matching, method="bp", engine="batched", ledger=ledger)
+    priors = learn_priors(matching, method="bp", ledger=ledger)
     bp_prior = priors["delay"]
     empirical_prior = learn_prior(matching, response="delay", method="empirical")
     print("\nPrior over delay parameters (kd, Cpar, V', alpha):")

@@ -8,9 +8,8 @@ The full production path of the reproduced flow, at scale:
    batched MAP extraction);
 3. export the Liberty view (NLDM mean + LVF sigma tables) and build the
    per-seed statistical timing view;
-4. generate a seeded 5000-gate random layered DAG and run Monte Carlo SSTA
-   on it with the level-batched graph engine -- then once more with the
-   per-gate loop engine to show the agreement and the speedup.
+4. generate a seeded 5000-gate random layered DAG and run deterministic STA
+   and Monte Carlo SSTA on it with the level-batched graph engine.
 
 Run with::
 
@@ -22,8 +21,6 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-
-import numpy as np
 
 from repro import (
     RunLedger,
@@ -86,37 +83,26 @@ def main() -> None:
           f"to {sta_report.critical_output}")
 
     # ------------------------------------------------------------------
-    # Monte Carlo SSTA: batched engine versus the per-gate loop engine.
+    # Monte Carlo SSTA on the per-seed ensembles.
     # ------------------------------------------------------------------
-    reports = {}
-    rows = []
-    for engine in ("batched", "loop"):
-        tic = time.perf_counter()
-        reports[engine] = MonteCarloSsta(netlist, view,
-                                         primary_input_slew=5e-12,
-                                         engine=engine, ledger=ledger).run()
-        elapsed = time.perf_counter() - tic
-        summary = reports[engine].summary
-        rows.append([engine, f"{elapsed:.3f}",
-                     f"{summary.mean * 1e12:.1f}", f"{summary.std * 1e12:.2f}",
-                     f"{summary.quantiles[2] * 1e12:.1f}",
-                     reports[engine].critical_output])
+    tic = time.perf_counter()
+    report = MonteCarloSsta(netlist, view, primary_input_slew=5e-12,
+                            ledger=ledger).run()
+    elapsed = time.perf_counter() - tic
+    summary = report.summary
     print("\n" + format_table(
-        ["engine", "seconds", "mean (ps)", "sigma (ps)", "99% (ps)",
-         "critical output"],
-        rows, title=f"SSTA on {compiled.n_gates} gates x {n_seeds} seeds"))
+        ["seconds", "mean (ps)", "sigma (ps)", "99% (ps)", "critical output"],
+        [[f"{elapsed:.3f}", f"{summary.mean * 1e12:.1f}",
+          f"{summary.std * 1e12:.2f}", f"{summary.quantiles[2] * 1e12:.1f}",
+          report.critical_output]],
+        title=f"SSTA on {compiled.n_gates} gates x {n_seeds} seeds"))
 
-    agreement = np.max(np.abs(reports["batched"].delay_samples
-                              - reports["loop"].delay_samples)
-                       / reports["loop"].delay_samples)
-    print(f"\nEngine agreement: max relative deviation {agreement:.2e}")
-
-    ranked = sorted(reports["batched"].criticality.items(),
+    ranked = sorted(report.criticality.items(),
                     key=lambda item: item[1], reverse=True)[:5]
     print("Top endpoint criticalities: "
           + ", ".join(f"{net}={prob:.2f}" for net, prob in ranked if prob > 0))
-    # The unified run ledger merges the characterization stages with both
-    # SSTA runs: wall time per stage, simulation runs, solver iterations,
+    # The unified run ledger merges the characterization stages with the
+    # STA/SSTA runs: wall time per stage, simulation runs, solver iterations,
     # and runtime-cache activity in one record.
     print("\n" + format_ledger(ledger, title="Unified run ledger"))
     print(f"\nTotal simulations: {counter.total}")

@@ -93,7 +93,6 @@ from repro.bayes import (
     BatchedFactorGraph,
     GaussianBatch,
     GaussianDensity,
-    GaussianFactorGraph,
     PrecisionModel,
 )
 from repro.experiments import AccuracyCurve, ExperimentRunner, compute_speedup
@@ -113,7 +112,6 @@ __all__ = [
     "ExperimentRunner",
     "GaussianBatch",
     "GaussianDensity",
-    "GaussianFactorGraph",
     "InputCondition",
     "InputSpace",
     "IntegrationStats",

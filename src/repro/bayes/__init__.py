@@ -11,11 +11,12 @@ reusable pieces:
 * :mod:`repro.bayes.conjugate` -- conjugate / linear-Gaussian updates;
 * :mod:`repro.bayes.precision` -- the model-precision (``beta``) estimator of
   Eq. 9 with input-space interpolation;
-* :mod:`repro.bayes.factor_graph` -- a Gaussian factor graph with sum-product
+* :mod:`repro.bayes.factor_graph` -- Gaussian factor graphs with sum-product
   message passing (exact on trees, loopy with damping otherwise), used to
-  propagate parameter beliefs along the chain of technology nodes, plus a
-  batched engine (:class:`~repro.bayes.factor_graph.BatchedFactorGraph`)
-  that sweeps a whole fleet of same-topology graphs at once.
+  propagate parameter beliefs between technology nodes; one engine
+  (:class:`~repro.bayes.factor_graph.BatchedFactorGraph`) sweeps a whole
+  fleet of same-topology graphs at once, or a single graph as a batch of
+  one.
 """
 
 from repro.bayes.gaussian import GaussianBatch, GaussianDensity
@@ -24,7 +25,6 @@ from repro.bayes.precision import PrecisionModel
 from repro.bayes.factor_graph import (
     BatchedFactorGraph,
     BeliefPropagationInfo,
-    GaussianFactorGraph,
 )
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "BeliefPropagationInfo",
     "GaussianBatch",
     "GaussianDensity",
-    "GaussianFactorGraph",
     "PrecisionModel",
     "gaussian_linear_update",
     "posterior_of_mean",

@@ -18,22 +18,18 @@ graphs (the star and chain topologies used by
 :mod:`repro.core.prior_learning`) the algorithm is exact, and on loopy graphs
 it runs damped iterations until the beliefs stop changing.
 
-Two engines share the message mathematics:
-
-* :class:`GaussianFactorGraph` runs one graph with a scalar Python loop over
-  factors (one small ``np.linalg.solve`` per message) -- simple, and the
-  reference for equivalence testing.
-* :class:`BatchedFactorGraph` stacks B *independent* graphs that share one
-  topology into ``(B, d, d)`` precision / ``(B, d)`` shift arrays and updates
-  each message for all B graphs in one batched ``np.linalg.solve``.  The
-  sweep keeps the scalar engine's sequential (Gauss-Seidel) factor schedule
-  -- only the graph axis is vectorized -- so the batched trajectory is the
-  scalar trajectory bit-for-bit, including under damping on loopy graphs.
-  Graphs whose messages stop changing retire from the working set (the
-  ``batch_map`` active-set pattern), so a few slow loopy graphs do not keep
-  the whole fleet sweeping.  This is how
-  :func:`repro.core.prior_learning.learn_class_priors` learns every
-  (response x arc-class) prior of a technology fleet in one call.
+:class:`BatchedFactorGraph` stacks B *independent* graphs that share one
+topology (B may be 1) into ``(B, d, d)`` precision / ``(B, d)`` shift arrays
+and updates each message for all B graphs in one batched
+``np.linalg.solve``.  The sweep is sequential (Gauss-Seidel) over factors in
+registration order -- only the graph axis is vectorized -- so each stacked
+graph follows the trajectory of a scalar per-graph message loop, including
+under damping on loopy graphs; that scalar loop is the test oracle in
+``tests/oracles/scalar_bp.py``.  Graphs whose messages stop changing retire
+from the working set (the ``batch_map`` active-set pattern), so a few slow
+loopy graphs do not keep the whole fleet sweeping.  This is how
+:func:`repro.core.prior_learning.learn_class_priors` learns every
+(response x arc-class) prior of a technology fleet in one call.
 """
 
 from __future__ import annotations
@@ -47,40 +43,6 @@ from repro.bayes.gaussian import GaussianBatch, GaussianDensity
 
 #: Diagonal jitter used when inverting message precision matrices.
 _JITTER = 1e-12
-
-
-@dataclass
-class _Message:
-    """A Gaussian message in information form."""
-
-    precision: np.ndarray
-    shift: np.ndarray
-
-    @classmethod
-    def zero(cls, dim: int) -> "_Message":
-        return cls(np.zeros((dim, dim)), np.zeros(dim))
-
-    def copy(self) -> "_Message":
-        return _Message(self.precision.copy(), self.shift.copy())
-
-
-@dataclass(frozen=True)
-class _Evidence:
-    """Unary factor: a Gaussian potential on one variable."""
-
-    variable: str
-    precision: np.ndarray
-    shift: np.ndarray
-
-
-@dataclass(frozen=True)
-class _Smoothness:
-    """Pairwise factor: ``var_b = var_a + noise`` with the given noise precision."""
-
-    name: str
-    variable_a: str
-    variable_b: str
-    noise_precision: np.ndarray
 
 
 def _noise_precision_from_covariance(noise_covariance: np.ndarray,
@@ -110,229 +72,6 @@ def _noise_precision_from_covariance(noise_covariance: np.ndarray,
     inverse_factor = np.linalg.solve(factor, identity)
     precision = np.swapaxes(inverse_factor, -1, -2) @ inverse_factor
     return 0.5 * (precision + np.swapaxes(precision, -1, -2))
-
-
-class GaussianFactorGraph:
-    """A factor graph over vector-valued Gaussian variables."""
-
-    def __init__(self) -> None:
-        self._dims: Dict[str, int] = {}
-        self._evidence: List[_Evidence] = []
-        self._smoothness: List[_Smoothness] = []
-        # Per-variable factor adjacency, in factor-registration order, so
-        # _incoming sums the same terms in the same order as a full factor
-        # scan -- without the O(n_factors) rescan per message update.
-        self._adjacency: Dict[str, List[_Smoothness]] = {}
-
-    # ------------------------------------------------------------------
-    # Graph construction
-    # ------------------------------------------------------------------
-    def add_variable(self, name: str, dim: int) -> None:
-        """Declare a variable node of the given dimensionality."""
-        if dim < 1:
-            raise ValueError("variable dimension must be at least 1")
-        if name in self._dims:
-            raise ValueError(f"variable {name!r} already exists")
-        self._dims[name] = int(dim)
-        self._adjacency[name] = []
-
-    def variables(self) -> List[str]:
-        """Names of all declared variables."""
-        return list(self._dims)
-
-    def _require_variable(self, name: str) -> int:
-        if name not in self._dims:
-            raise KeyError(f"unknown variable {name!r}; declare it with add_variable")
-        return self._dims[name]
-
-    def add_evidence(self, variable: str, density: GaussianDensity) -> None:
-        """Attach a Gaussian evidence (unary) factor to a variable."""
-        dim = self._require_variable(variable)
-        if density.dim != dim:
-            raise ValueError(
-                f"evidence for {variable!r} has dimension {density.dim}, expected {dim}"
-            )
-        precision, shift = density.to_information()
-        self._evidence.append(_Evidence(variable, precision, shift))
-
-    def add_smoothness(self, variable_a: str, variable_b: str,
-                       noise_covariance: np.ndarray,
-                       name: Optional[str] = None) -> None:
-        """Link two variables with ``var_b = var_a + N(0, noise_covariance)``."""
-        dim_a = self._require_variable(variable_a)
-        dim_b = self._require_variable(variable_b)
-        if dim_a != dim_b:
-            raise ValueError("linked variables must share a dimension")
-        noise_covariance = np.asarray(noise_covariance, dtype=float)
-        if noise_covariance.ndim == 1:
-            noise_covariance = np.diag(noise_covariance)
-        if noise_covariance.shape != (dim_a, dim_a):
-            raise ValueError("noise covariance has the wrong shape")
-        noise_precision = _noise_precision_from_covariance(noise_covariance,
-                                                           dim_a)
-        label = name or f"{variable_a}~{variable_b}"
-        self._register_smoothness(
-            _Smoothness(label, variable_a, variable_b, noise_precision)
-        )
-
-    def _register_smoothness(self, factor: _Smoothness) -> None:
-        self._smoothness.append(factor)
-        self._adjacency[factor.variable_a].append(factor)
-        if factor.variable_b != factor.variable_a:
-            self._adjacency[factor.variable_b].append(factor)
-
-    # ------------------------------------------------------------------
-    # Belief propagation
-    # ------------------------------------------------------------------
-    def run_belief_propagation(self, max_iterations: int = 100, tolerance: float = 1e-10,
-                               damping: float = 0.0) -> Dict[str, GaussianDensity]:
-        """Run sum-product message passing and return per-variable beliefs.
-
-        Parameters
-        ----------
-        max_iterations:
-            Upper bound on message-update sweeps (trees converge in at most
-            the graph diameter).
-        tolerance:
-            Convergence threshold on the maximum change of any message entry.
-        damping:
-            Damping factor in ``[0, 1)`` for loopy graphs (0 = undamped).
-
-        Returns
-        -------
-        dict
-            Mapping of variable name to its Gaussian belief.
-
-        Raises
-        ------
-        RuntimeError
-            If a variable ends up with no information at all (its belief
-            would be improper), or if loopy propagation fails to converge.
-        """
-        if not (0.0 <= damping < 1.0):
-            raise ValueError("damping must be in [0, 1)")
-
-        # Unary information per variable (fixed during propagation).
-        unary: Dict[str, _Message] = {
-            name: _Message.zero(dim) for name, dim in self._dims.items()
-        }
-        for evidence in self._evidence:
-            message = unary[evidence.variable]
-            message.precision += evidence.precision
-            message.shift += evidence.shift
-
-        # Messages from each pairwise factor to each of its two endpoints.
-        messages: Dict[Tuple[str, str], _Message] = {}
-        for factor in self._smoothness:
-            for target in (factor.variable_a, factor.variable_b):
-                messages[(factor.name, target)] = _Message.zero(self._dims[target])
-
-        converged = not self._smoothness
-        for _ in range(max_iterations):
-            max_change = 0.0
-            for factor in self._smoothness:
-                for source, target in ((factor.variable_a, factor.variable_b),
-                                       (factor.variable_b, factor.variable_a)):
-                    incoming = self._incoming(source, factor.name, unary, messages)
-                    joint_precision = incoming.precision + factor.noise_precision
-                    jitter = _JITTER * np.eye(joint_precision.shape[0])
-                    solve = np.linalg.solve(joint_precision + jitter, np.column_stack(
-                        [factor.noise_precision, incoming.shift[:, np.newaxis]]))
-                    w_solve = solve[:, :-1]
-                    h_solve = solve[:, -1]
-                    new_precision = factor.noise_precision - factor.noise_precision @ w_solve
-                    new_shift = factor.noise_precision @ h_solve
-                    key = (factor.name, target)
-                    old = messages[key]
-                    if damping > 0.0:
-                        new_precision = (1.0 - damping) * new_precision + damping * old.precision
-                        new_shift = (1.0 - damping) * new_shift + damping * old.shift
-                    max_change = max(
-                        max_change,
-                        float(np.max(np.abs(new_precision - old.precision), initial=0.0)),
-                        float(np.max(np.abs(new_shift - old.shift), initial=0.0)),
-                    )
-                    messages[key] = _Message(new_precision, new_shift)
-            if max_change < tolerance:
-                converged = True
-                break
-        if not converged:
-            raise RuntimeError(
-                "belief propagation did not converge; increase max_iterations or damping"
-            )
-
-        beliefs: Dict[str, GaussianDensity] = {}
-        for name, dim in self._dims.items():
-            belief = self._incoming(name, exclude_factor=None, unary=unary,
-                                    messages=messages)
-            if np.all(np.abs(belief.precision) < 1e-300):
-                raise RuntimeError(
-                    f"variable {name!r} received no information; attach evidence or links"
-                )
-            beliefs[name] = GaussianDensity.from_information(
-                belief.precision + _JITTER * np.eye(dim), belief.shift
-            )
-        return beliefs
-
-    def _incoming(self, variable: str, exclude_factor: Optional[str],
-                  unary: Dict[str, _Message],
-                  messages: Dict[Tuple[str, str], _Message]) -> _Message:
-        """Product of the unary factor and all messages into ``variable``."""
-        total = unary[variable].copy()
-        for factor in self._adjacency[variable]:
-            if factor.name == exclude_factor:
-                continue
-            message = messages[(factor.name, variable)]
-            total.precision = total.precision + message.precision
-            total.shift = total.shift + message.shift
-        return total
-
-    # ------------------------------------------------------------------
-    # Convenience topologies
-    # ------------------------------------------------------------------
-    @classmethod
-    def star(cls, center: str, leaves: Dict[str, GaussianDensity],
-             link_covariance: np.ndarray) -> "GaussianFactorGraph":
-        """Build a star graph: every leaf observes the central variable.
-
-        This is the topology used to fuse historical technologies into the
-        global prior: each leaf carries that technology's extracted
-        parameters as evidence, and the link covariance encodes how much
-        parameters are allowed to drift between technologies.
-        """
-        if not leaves:
-            raise ValueError("at least one leaf is required")
-        dims = {density.dim for density in leaves.values()}
-        if len(dims) != 1:
-            raise ValueError("all leaves must share a dimension")
-        dim = dims.pop()
-        graph = cls()
-        graph.add_variable(center, dim)
-        for leaf_name, density in leaves.items():
-            graph.add_variable(leaf_name, dim)
-            graph.add_evidence(leaf_name, density)
-            graph.add_smoothness(center, leaf_name, link_covariance,
-                                 name=f"{center}~{leaf_name}")
-        return graph
-
-    @classmethod
-    def chain(cls, names: List[str], evidence: Dict[str, GaussianDensity],
-              link_covariance: np.ndarray) -> "GaussianFactorGraph":
-        """Build a chain graph (e.g. technology nodes ordered by year)."""
-        if len(names) < 2:
-            raise ValueError("a chain needs at least two variables")
-        dims = {density.dim for density in evidence.values()}
-        if len(dims) != 1:
-            raise ValueError("all evidence densities must share a dimension")
-        dim = dims.pop()
-        graph = cls()
-        for name in names:
-            graph.add_variable(name, dim)
-            if name in evidence:
-                graph.add_evidence(name, evidence[name])
-        for left, right in zip(names[:-1], names[1:]):
-            graph.add_smoothness(left, right, link_covariance, name=f"{left}~{right}")
-        return graph
 
 
 @dataclass(frozen=True)
@@ -375,9 +114,6 @@ class BeliefPropagationInfo:
         return int(np.count_nonzero(~self.converged))
 
 
-#: Engines of :meth:`BatchedFactorGraph.run_belief_propagation`.
-BP_ENGINES = ("batched", "loop")
-
 _Densities = Union[GaussianDensity, Sequence[GaussianDensity]]
 
 
@@ -388,8 +124,8 @@ class BatchedFactorGraph:
     evidence densities and smoothness covariances may differ per graph
     (pass a sequence / a ``(B, d, d)`` stack) or be shared (pass one
     density / one matrix).  ``run_belief_propagation`` then advances all B
-    graphs through the scalar engine's message schedule with one batched
-    linear solve per message update -- see the module docstring.
+    graphs through one message schedule with one batched linear solve per
+    message update -- see the module docstring.
     """
 
     def __init__(self, batch_size: int) -> None:
@@ -495,8 +231,7 @@ class BatchedFactorGraph:
         if noise_covariance.ndim == 2:
             if noise_covariance.shape != (dim_a, dim_a):
                 raise ValueError("noise covariance has the wrong shape")
-            # Shared covariance: invert once, broadcast to the batch, so the
-            # loop engine's scalar graphs see bit-identical precisions.
+            # Shared covariance: invert once and broadcast to the batch.
             precision = np.broadcast_to(
                 _noise_precision_from_covariance(noise_covariance, dim_a),
                 (self._batch, dim_a, dim_a))
@@ -524,7 +259,6 @@ class BatchedFactorGraph:
         max_iterations: int = 100,
         tolerance: float = 1e-10,
         damping: Union[float, np.ndarray] = 0.0,
-        engine: str = "batched",
         return_info: bool = False,
         on_divergence: str = "raise",
     ) -> Union[Dict[str, GaussianBatch],
@@ -533,24 +267,22 @@ class BatchedFactorGraph:
 
         Parameters
         ----------
-        max_iterations, tolerance:
-            As in :meth:`GaussianFactorGraph.run_belief_propagation`,
-            applied per graph.
+        max_iterations:
+            Upper bound on message-update sweeps per graph (trees converge
+            in at most the graph diameter).
+        tolerance:
+            Per-graph convergence threshold on the maximum change of any
+            message entry within one sweep.
         damping:
             Scalar shared by all graphs, or a ``(B,)`` array with one
             damping factor per graph; each entry must lie in ``[0, 1)``.
-        engine:
-            ``"batched"`` (default) runs the vectorized sweeps;
-            ``"loop"`` runs the scalar engine once per stacked graph
-            (the equivalence reference -- same message schedule, same
-            numbers, B times the Python overhead).
         return_info:
-            When true (batched engine only), also return a
-            :class:`BeliefPropagationInfo` with per-graph sweep counts.
+            When true, also return a :class:`BeliefPropagationInfo` with
+            per-graph sweep counts.
         on_divergence:
             ``"raise"`` (default) aborts when any graph exhausts
             ``max_iterations`` -- the historical fail-fast semantics.
-            ``"retire"`` (batched engine only) instead returns beliefs
+            ``"retire"`` instead returns beliefs
             built from every graph's last message iterate, flagging the
             diverged graphs ``False`` in ``BeliefPropagationInfo.converged``
             (pass ``return_info=True`` to see them); converged graphs are
@@ -567,15 +299,9 @@ class BatchedFactorGraph:
             If any graph fails to converge (unless retiring), or a
             variable has no information.
         """
-        if engine not in BP_ENGINES:
-            raise ValueError(f"engine must be one of {BP_ENGINES}, got {engine!r}")
         if on_divergence not in ("raise", "retire"):
             raise ValueError(f"on_divergence must be 'raise' or 'retire', "
                              f"got {on_divergence!r}")
-        if on_divergence == "retire" and engine == "loop":
-            raise ValueError("on_divergence='retire' requires engine='batched' "
-                             "(the loop engine is the fail-fast parity "
-                             "reference)")
         damping = np.asarray(damping, dtype=float)
         if damping.ndim == 0:
             damping = np.full(self._batch, float(damping))
@@ -585,36 +311,8 @@ class BatchedFactorGraph:
                 f"got {damping.shape}")
         if np.any((damping < 0.0) | (damping >= 1.0)):
             raise ValueError("damping must be in [0, 1)")
-        if engine == "loop":
-            if return_info:
-                raise ValueError("return_info requires engine='batched'")
-            return self._run_loop(max_iterations, tolerance, damping)
         return self._run_batched(max_iterations, tolerance, damping,
                                  return_info, on_divergence)
-
-    def _run_loop(self, max_iterations: int, tolerance: float,
-                  damping: np.ndarray) -> Dict[str, GaussianBatch]:
-        """The scalar engine, once per stacked graph (parity reference)."""
-        per_graph: List[Dict[str, GaussianDensity]] = []
-        for index in range(self._batch):
-            graph = GaussianFactorGraph()
-            for name, dim in self._dims.items():
-                graph.add_variable(name, dim)
-            for variable, precision, shift in self._evidence:
-                graph._evidence.append(
-                    _Evidence(variable, precision[index], shift[index]))
-            for factor in self._factors:
-                graph._register_smoothness(_Smoothness(
-                    factor.name, factor.variable_a, factor.variable_b,
-                    factor.noise_precision[index]))
-            per_graph.append(graph.run_belief_propagation(
-                max_iterations=max_iterations, tolerance=tolerance,
-                damping=float(damping[index])))
-        return {
-            name: GaussianBatch.from_densities(
-                [beliefs[name] for beliefs in per_graph])
-            for name in self._dims
-        }
 
     def _run_batched(self, max_iterations: int, tolerance: float,
                      damping: np.ndarray, return_info: bool,
@@ -641,8 +339,8 @@ class BatchedFactorGraph:
                      rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             """Unary information plus all messages into ``variable``.
 
-            Summed in factor-registration order -- the scalar engine's
-            float summation order -- for the selected graph rows.
+            Summed in factor-registration order for the selected graph
+            rows.
             """
             precision = unary[variable][0][rows].copy()
             shift = unary[variable][1][rows].copy()
@@ -726,10 +424,12 @@ class BatchedFactorGraph:
     @classmethod
     def star(cls, center: str, leaves: Dict[str, _Densities],
              link_covariance: np.ndarray) -> "BatchedFactorGraph":
-        """B stacked star graphs (cf. :meth:`GaussianFactorGraph.star`).
+        """B stacked star graphs: every leaf observes the central variable.
 
-        Each leaf carries one evidence density per graph (a shared density
-        is replicated); ``link_covariance`` may likewise be shared or a
+        This is the topology that fuses historical technologies into the
+        global prior.  Each leaf carries one evidence density per graph (a
+        shared density is replicated; shared densities alone give a batch
+        of one); ``link_covariance`` may likewise be shared or a
         ``(B, d, d)`` stack (e.g. one technology-drift covariance per
         stacked response/arc-class graph).
         """
@@ -752,7 +452,7 @@ class BatchedFactorGraph:
     @classmethod
     def chain(cls, names: List[str], evidence: Dict[str, _Densities],
               link_covariance: np.ndarray) -> "BatchedFactorGraph":
-        """B stacked chain graphs (cf. :meth:`GaussianFactorGraph.chain`)."""
+        """B stacked chain graphs (e.g. technology nodes ordered by year)."""
         if len(names) < 2:
             raise ValueError("a chain needs at least two variables")
         if not evidence:

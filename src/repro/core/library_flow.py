@@ -14,33 +14,31 @@ orchestrates that workload:
   :class:`~repro.spice.testbench.SimulationCache` are shared across arcs;
 * execution through the pluggable runtime executor
   (:mod:`repro.runtime.executor`): ``concurrency="serial"`` shares the
-  in-process caches, ``"chunked"`` walks deterministic job chunks, and
-  ``"process"`` fans the work out over a process pool;
+  in-process caches and ``"process"`` fans the work out over a process
+  pool;
 * simulation-run accounting identical to running the per-arc flows by hand:
   each arc charges ``k * n_seeds`` runs under a ``library:<cell>:<arc>``
-  label, whichever execution mode or pipeline ran it, and
+  label, whichever execution mode ran it, and
   :class:`~repro.runtime.accounting.RunLedger` records merge into one
   library-level ledger in deterministic order.
 
-Two pipelines produce identical results:
-
-* ``pipeline="fused"`` (default) flattens every ``(cell, arc, condition)``
-  of the library into one global simulation plan.  Rows first consult the
-  simulation cache; the remaining rows are grouped by *equivalent-inverter
-  simulation signature* (see
-  :meth:`repro.cells.equivalent_inverter.EquivalentInverter.simulation_signature`),
-  so footprint-equivalent cells share a handful of mega-batched RK4 passes
-  instead of one pass per arc -- and rows that are physically identical
-  (same signature, same operating point, e.g. footprint twins on a shared
-  condition grid) are integrated exactly once and scattered to every arc
-  that needs them.  Groups are split on the flat row axis --
-  honoring the ``runtime`` memory budget and the executor's shard hint
-  (better process-pool load balance than whole-arc fan-out) -- and all
-  extractions land in a single stacked, block-diagonal MAP solve
-  (:func:`repro.core.batch_map.map_estimate_stacked`).
-* ``pipeline="per_arc"`` runs one simulate-and-extract job per arc (the
-  pre-fusion flow), kept for parity testing; its results, counter charges
-  and ledger run counts are identical to the fused pipeline's.
+The pipeline is fused: every ``(cell, arc, condition)`` of the library is
+flattened into one global simulation plan.  Rows first consult the
+simulation cache; the remaining rows are grouped by *equivalent-inverter
+simulation signature* (see
+:meth:`repro.cells.equivalent_inverter.EquivalentInverter.simulation_signature`),
+so footprint-equivalent cells share a handful of mega-batched RK4 passes
+instead of one pass per arc -- and rows that are physically identical (same
+signature, same operating point, e.g. footprint twins on a shared condition
+grid) are integrated exactly once and scattered to every arc that needs
+them.  Groups are split on the flat row axis -- honoring the ``runtime``
+memory budget and the executor's shard hint (better process-pool load
+balance than whole-arc fan-out) -- and all extractions land in a single
+stacked, block-diagonal MAP solve
+(:func:`repro.core.batch_map.map_estimate_stacked`).  The pre-fusion
+one-job-per-arc flow is the test oracle in ``tests/oracles/per_arc.py``;
+its results, counter charges and ledger run counts equal the fused
+pipeline's.
 
 The resulting :class:`LibraryCharacterization` feeds the downstream
 consumers directly: :meth:`LibraryCharacterization.liberty_writer` emits a
@@ -68,24 +66,17 @@ from repro.core.batch_map import (
 from repro.core.prior_learning import TimingPrior
 from repro.core.simulation_plan import SimulationPlan
 from repro.core.statistical_flow import (
-    SOLVERS,
     StatisticalCharacterization,
-    StatisticalCharacterizer,
     arc_observation_pair,
 )
 from repro.liberty.tables import NldmTable
 from repro.liberty.writer import CellTimingData, LibertyWriter, TimingTableSet
-from repro.runtime import faultinject, resolve_transient_engine
+from repro.runtime import resolve_transient_engine
 from repro.runtime.accounting import RunLedger
 from repro.runtime.checkpoint import Checkpointer
 from repro.runtime.executor import EXECUTOR_MODES, get_executor
 from repro.runtime.persist import stable_key_digest
-from repro.runtime.resilience import (
-    FailureReport,
-    RetryPolicy,
-    resolve_strict,
-    run_with_retry,
-)
+from repro.runtime.resilience import FailureReport, RetryPolicy, resolve_strict
 from repro.spice.stepper import StepperSpec, resolve_stepper
 from repro.spice.testbench import SimulationCounter, get_simulation_cache
 from repro.technology.node import TechnologyNode
@@ -93,15 +84,8 @@ from repro.technology.variation import VariationSample
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.units import NANO, PICO
 
-SITE_ARC_JOB = faultinject.register_fault_site(
-    "library.arc_job",
-    "one per-arc characterization job of the library orchestrator")
-
 #: Execution modes of :func:`characterize_library` (the runtime executor's).
 CONCURRENCY_MODES = EXECUTOR_MODES
-
-#: Characterization pipelines of :func:`characterize_library`.
-PIPELINES = ("fused", "per_arc")
 
 
 @dataclass(frozen=True)
@@ -146,19 +130,16 @@ class LibraryCharacterization:
         Input-space ranges of the target technology (default table axes).
     n_seeds:
         Monte Carlo seeds shared by every arc.
-    solver, concurrency:
-        How the parameter extraction and the fan-out were executed.
+    concurrency:
+        How the simulation fan-out was executed.
     simulation_runs:
         Total simulator invocations across all arcs.
     entries:
         One :class:`LibraryArcCharacterization` per characterized arc, in
         deterministic (cell, arc) order.
-    pipeline:
-        Which characterization pipeline ran (``"fused"`` or ``"per_arc"``;
-        both produce identical entries).
     ledger:
         Unified :class:`~repro.runtime.accounting.RunLedger` of the run:
-        per-arc ledgers merged in job order plus the orchestrator's own
+        worker ledgers merged in payload order plus the orchestrator's own
         stage timings (identical accounting across execution modes).
     failures:
         Structured :class:`~repro.runtime.resilience.FailureReport` records
@@ -173,11 +154,9 @@ class LibraryCharacterization:
     slew_range: Tuple[float, float]
     cload_range: Tuple[float, float]
     n_seeds: int
-    solver: str
     concurrency: str
     simulation_runs: int
     entries: Tuple[LibraryArcCharacterization, ...]
-    pipeline: str = "fused"
     ledger: Optional[RunLedger] = field(default=None, compare=False)
     failures: Tuple[FailureReport, ...] = ()
 
@@ -320,44 +299,9 @@ def _arc_jobs(cells: Sequence[Cell], transitions: Sequence[Transition],
     return jobs
 
 
-def _characterize_arc_job(payload: tuple):
-    """One (cell, arc) characterization; module-level for process pickling.
-
-    Runs with a local counter (``None``): ``sweep_conditions`` charges
-    deterministically per condition x seed, so the parent can account runs
-    identically for serial and process execution.  Returns the
-    characterization together with the job's own :class:`RunLedger`
-    (filled in whatever process ran the job; the executor merges ledgers
-    back in payload order).
-
-    Resilience lives inside the job (rather than at the executor) so one
-    retry layer covers the whole attempt: the optional
-    :class:`~repro.runtime.resilience.RetryPolicy` re-runs a failing arc,
-    and under ``strict=False`` an arc that still fails returns a
-    :class:`~repro.runtime.resilience.FailureReport` in place of its
-    characterization instead of aborting the library run.
-    """
-    (technology, cell, arc, delay_prior, slew_prior, variation, conditions,
-     solver, transient_engine, max_bytes, strict, retry_policy) = payload
-    ledger = RunLedger()
-
-    def attempt():
-        faultinject.fire(SITE_ARC_JOB)
-        characterizer = StatisticalCharacterizer(
-            technology, cell, delay_prior, slew_prior, arc=arc,
-            n_seeds=variation.n_seeds, solver=solver, ledger=ledger,
-            max_bytes=max_bytes, transient_engine=transient_engine)
-        characterizer.use_variation(variation)
-        return characterizer.characterize(list(conditions))
-
-    unit = f"{cell.name}:{arc.name}"
-    try:
-        return run_with_retry(attempt, retry_policy, site=f"arc:{unit}",
-                              ledger=ledger), ledger
-    except Exception as error:
-        if strict:
-            raise
-        return FailureReport.from_exception(unit, "characterize", error), ledger
+def _check_solver(solver: str) -> None:
+    if solver != "batched":
+        raise ValueError(f"solver must be 'batched', got {solver!r}")
 
 
 def characterize_fused_jobs(
@@ -377,12 +321,14 @@ def characterize_fused_jobs(
 ) -> "Tuple[List[Optional[StatisticalCharacterization]], List[FailureReport]]":
     """The fused library pipeline: plan -> mega-batch -> stacked solve.
 
-    Produces exactly the per-arc pipeline's characterizations (same values,
+    Produces exactly the per-arc flow's characterizations (same values,
     same per-arc ledger run counts); the planning/mega-batching half is the
     shared :class:`~repro.core.simulation_plan.SimulationPlan` (also driving
     historical characterization for prior learning); see the module
-    docstring for the design.  Public since PR 10: the characterization
-    service (:mod:`repro.runtime.service`) drives it directly with coalesced
+    docstring for the design.  ``solver`` accepts only ``"batched"``, the
+    one extraction solver (the slot stays for callers that pass it).  The
+    characterization service (:mod:`repro.runtime.service`) drives this
+    function directly with coalesced
     job lists that need not share a condition count -- full-condition jobs
     are stacked per distinct ``k`` (one block-diagonal solve per group;
     blocks are independent, so the grouping is bit-identical to solving any
@@ -402,6 +348,7 @@ def characterize_fused_jobs(
     leaves the solve untouched by its peers -- which is what makes a resumed
     run over any job subset bit-identical to the uninterrupted run.
     """
+    _check_solver(solver)
     n_seeds = variation.n_seeds
     failures: List[FailureReport] = []
 
@@ -409,8 +356,7 @@ def characterize_fused_jobs(
     # Plan: resolve reductions, consult the simulation cache per row, and
     # group the rows that still need integrating by inverter signature.
     # The plan consults the reduction cache and the simulation cache per
-    # row; recording its cache deltas keeps the fused ledger as observable
-    # as the per-arc pipeline's (which wraps its sweeps in ledger.caches()).
+    # row; its cache deltas are recorded on the ledger.
     # ------------------------------------------------------------------
     plan = SimulationPlan(technology, variation=variation,
                           integrate_stage="fused:integrate",
@@ -479,134 +425,104 @@ def characterize_fused_jobs(
 
     # ------------------------------------------------------------------
     # Extract: stack every arc's seed batch into one block-diagonal MAP
-    # solve per response (batched solver); the scipy parity solver keeps
-    # its per-arc trust-region loops on the injected measurements.
+    # solve per response.
     # ------------------------------------------------------------------
     characterizations: List[Optional[StatisticalCharacterization]] = []
-    if solver == "batched":
-        space = InputSpace(technology)
-        delay_obs_of: Dict[int, object] = {}
-        slew_obs_of: Dict[int, object] = {}
-        stacked_jobs: List[int] = []
-        degraded_jobs: List[int] = []
-        with ledger.stage("fused:extract"):
-            for job, (cell, arc) in enumerate(jobs):
-                kept = job_kept[job]
-                if kept is None:
-                    continue
-                delay_obs, slew_obs = arc_observation_pair(
-                    technology, inverters[job],
-                    [job_conditions[job][cond] for cond in kept],
-                    delay_prior, slew_prior,
-                    np.stack([job_delays[job][cond] for cond in kept], axis=0),
-                    np.stack([job_slews[job][cond] for cond in kept], axis=0),
-                    space=space)
-                delay_obs_of[job] = delay_obs
-                slew_obs_of[job] = slew_obs
-                if len(kept) == len(job_conditions[job]):
-                    stacked_jobs.append(job)
-                else:
-                    degraded_jobs.append(job)
-        delay_results: Dict[int, object] = {}
-        slew_results: Dict[int, object] = {}
-        with ledger.stage("fused:solve"):
-            # The stacked solver needs a uniform condition count k across
-            # its blocks; coalesced workloads (the serving front door) mix
-            # requests with different k, so stack once per distinct k.
-            # Blocks are independent, so the partition cannot change any
-            # arc's numbers.
-            by_k: Dict[int, List[int]] = {}
-            for job in stacked_jobs:
-                by_k.setdefault(len(job_conditions[job]), []).append(job)
-            for k_jobs in by_k.values():
-                delay_results.update(zip(k_jobs, map_estimate_stacked(
-                    delay_prior, [delay_obs_of[job] for job in k_jobs],
-                    max_bytes=max_bytes)))
-                slew_results.update(zip(k_jobs, map_estimate_stacked(
-                    slew_prior, [slew_obs_of[job] for job in k_jobs],
-                    max_bytes=max_bytes)))
-            # Degraded arcs carry fewer conditions than the stacked blocks
-            # (which need a uniform k), so each gets its own solve; blocks
-            # are independent rows either way, so their stacked peers stay
-            # bit-identical to a clean run.
-            for job in degraded_jobs:
-                delay_results[job] = map_estimate_batch(
-                    delay_prior, delay_obs_of[job], max_bytes=max_bytes)
-                slew_results[job] = map_estimate_batch(
-                    slew_prior, slew_obs_of[job], max_bytes=max_bytes)
-            ledger.add_metric(
-                "solver_iterations",
-                int(sum(int(result.n_iterations.sum())
-                        for result in delay_results.values())
-                    + sum(int(result.n_iterations.sum())
-                          for result in slew_results.values())))
-        if not strict:
-            # Corrupted-solve fallback chain (batched -> scipy -> prior
-            # mean, per seed row).  A clean result passes through as the
-            # same object, so nothing here perturbs the fault-free path.
-            for job in sorted(delay_results):
-                cell, arc = jobs[job]
-                for response, results_map, obs_of, prior in (
-                        ("delay", delay_results, delay_obs_of, delay_prior),
-                        ("slew", slew_results, slew_obs_of, slew_prior)):
-                    result = results_map[job]
-                    repaired = repair_batch_result(
-                        result, obs_of[job], prior, ledger=ledger)
-                    if repaired is not result:
-                        results_map[job] = repaired
-                        broken = int(np.count_nonzero(
-                            ~np.all(np.isfinite(result.parameters), axis=1)))
-                        failures.append(FailureReport(
-                            unit=f"{cell.name}:{arc.name}", stage="extract",
-                            error=(f"{response} solve produced {broken} "
-                                   f"non-finite seed rows; repaired via the "
-                                   f"scipy/prior fallback chain"),
-                            error_type="RepairedSolve"))
+    space = InputSpace(technology)
+    delay_obs_of: Dict[int, object] = {}
+    slew_obs_of: Dict[int, object] = {}
+    stacked_jobs: List[int] = []
+    degraded_jobs: List[int] = []
+    with ledger.stage("fused:extract"):
         for job, (cell, arc) in enumerate(jobs):
-            if job not in delay_results:
-                characterizations.append(None)
+            kept = job_kept[job]
+            if kept is None:
                 continue
-            runs = len(job_conditions[job]) * n_seeds
-            characterizations.append(StatisticalCharacterization(
-                cell_name=cell.name,
-                arc_name=arc.name,
-                delay_parameters=delay_results[job].parameters,
-                slew_parameters=slew_results[job].parameters,
-                inverter=inverters[job],
-                fitting_conditions=tuple(job_conditions[job][cond]
-                                         for cond in job_kept[job]),
-                simulation_runs=runs,
-                solver=solver,
-                delay_converged=delay_results[job].converged,
-                slew_converged=slew_results[job].converged,
-            ))
-    else:
-        with ledger.stage("fused:extract"):
-            for job, (cell, arc) in enumerate(jobs):
-                kept = job_kept[job]
-                if kept is None:
-                    characterizations.append(None)
-                    continue
-                characterizer = StatisticalCharacterizer(
-                    technology, cell, delay_prior, slew_prior, arc=arc,
-                    n_seeds=n_seeds, solver=solver, ledger=ledger,
-                    max_bytes=max_bytes)
-                characterizer.use_variation(variation)
-                try:
-                    characterizations.append(
-                        characterizer.characterize_from_measurements(
-                            [job_conditions[job][cond] for cond in kept],
-                            np.stack([job_delays[job][cond] for cond in kept],
-                                     axis=0),
-                            np.stack([job_slews[job][cond] for cond in kept],
-                                     axis=0),
-                            simulation_runs=len(job_conditions[job]) * n_seeds))
-                except Exception as error:
-                    if strict:
-                        raise
-                    characterizations.append(None)
-                    failures.append(FailureReport.from_exception(
-                        f"{cell.name}:{arc.name}", "extract", error))
+            delay_obs, slew_obs = arc_observation_pair(
+                technology, inverters[job],
+                [job_conditions[job][cond] for cond in kept],
+                delay_prior, slew_prior,
+                np.stack([job_delays[job][cond] for cond in kept], axis=0),
+                np.stack([job_slews[job][cond] for cond in kept], axis=0),
+                space=space)
+            delay_obs_of[job] = delay_obs
+            slew_obs_of[job] = slew_obs
+            if len(kept) == len(job_conditions[job]):
+                stacked_jobs.append(job)
+            else:
+                degraded_jobs.append(job)
+    delay_results: Dict[int, object] = {}
+    slew_results: Dict[int, object] = {}
+    with ledger.stage("fused:solve"):
+        # The stacked solver needs a uniform condition count k across
+        # its blocks; coalesced workloads (the serving front door) mix
+        # requests with different k, so stack once per distinct k.
+        # Blocks are independent, so the partition cannot change any
+        # arc's numbers.
+        by_k: Dict[int, List[int]] = {}
+        for job in stacked_jobs:
+            by_k.setdefault(len(job_conditions[job]), []).append(job)
+        for k_jobs in by_k.values():
+            delay_results.update(zip(k_jobs, map_estimate_stacked(
+                delay_prior, [delay_obs_of[job] for job in k_jobs],
+                max_bytes=max_bytes)))
+            slew_results.update(zip(k_jobs, map_estimate_stacked(
+                slew_prior, [slew_obs_of[job] for job in k_jobs],
+                max_bytes=max_bytes)))
+        # Degraded arcs carry fewer conditions than the stacked blocks
+        # (which need a uniform k), so each gets its own solve; blocks
+        # are independent rows either way, so their stacked peers stay
+        # bit-identical to a clean run.
+        for job in degraded_jobs:
+            delay_results[job] = map_estimate_batch(
+                delay_prior, delay_obs_of[job], max_bytes=max_bytes)
+            slew_results[job] = map_estimate_batch(
+                slew_prior, slew_obs_of[job], max_bytes=max_bytes)
+        ledger.add_metric(
+            "solver_iterations",
+            int(sum(int(result.n_iterations.sum())
+                    for result in delay_results.values())
+                + sum(int(result.n_iterations.sum())
+                      for result in slew_results.values())))
+    if not strict:
+        # Corrupted-solve fallback chain (batched -> scipy -> prior
+        # mean, per seed row).  A clean result passes through as the
+        # same object, so nothing here perturbs the fault-free path.
+        for job in sorted(delay_results):
+            cell, arc = jobs[job]
+            for response, results_map, obs_of, prior in (
+                    ("delay", delay_results, delay_obs_of, delay_prior),
+                    ("slew", slew_results, slew_obs_of, slew_prior)):
+                result = results_map[job]
+                repaired = repair_batch_result(
+                    result, obs_of[job], prior, ledger=ledger)
+                if repaired is not result:
+                    results_map[job] = repaired
+                    broken = int(np.count_nonzero(
+                        ~np.all(np.isfinite(result.parameters), axis=1)))
+                    failures.append(FailureReport(
+                        unit=f"{cell.name}:{arc.name}", stage="extract",
+                        error=(f"{response} solve produced {broken} "
+                               f"non-finite seed rows; repaired via the "
+                               f"scipy/prior fallback chain"),
+                        error_type="RepairedSolve"))
+    for job, (cell, arc) in enumerate(jobs):
+        if job not in delay_results:
+            characterizations.append(None)
+            continue
+        runs = len(job_conditions[job]) * n_seeds
+        characterizations.append(StatisticalCharacterization(
+            cell_name=cell.name,
+            arc_name=arc.name,
+            delay_parameters=delay_results[job].parameters,
+            slew_parameters=slew_results[job].parameters,
+            inverter=inverters[job],
+            fitting_conditions=tuple(job_conditions[job][cond]
+                                     for cond in job_kept[job]),
+            simulation_runs=runs,
+            delay_converged=delay_results[job].converged,
+            slew_converged=slew_results[job].converged,
+        ))
     return characterizations, failures
 
 
@@ -618,7 +534,6 @@ def _checkpoint_signature(
     variation: VariationSample,
     delay_prior: TimingPrior,
     slew_prior: TimingPrior,
-    solver: str,
     stepper: StepperSpec,
 ) -> str:
     """Stable digest of every input that shapes a library run's results.
@@ -626,9 +541,11 @@ def _checkpoint_signature(
     Two runs with the same signature produce bit-identical entries, so a
     checkpoint written under this signature can be resumed safely; anything
     that would change the numbers -- technology or variation content, the
-    job list, any fitting condition, either prior, the solver, the
-    transient stepper (scheme, step count or tolerances) -- changes the
-    digest.  A resume under a different integration engine or tolerance
+    job list, any fitting condition, either prior, the transient stepper
+    (scheme, step count or tolerances) -- changes the digest.  The solver
+    slot holds the literal ``"batched"``, the name of the one extraction
+    solver, so checkpoints written while a second solver existed keep their
+    digests and still resume.  A resume under a different integration engine or tolerance
     therefore raises :class:`~repro.runtime.checkpoint.CheckpointMismatch`
     instead of silently mixing results of different numerical schemes.
     """
@@ -644,7 +561,7 @@ def _checkpoint_signature(
         int(variation.n_seeds),
         delay_prior.fingerprint(),
         slew_prior.fingerprint(),
-        solver,
+        "batched",
         stepper.signature(),
     ))
 
@@ -666,7 +583,6 @@ def _solved_payload(result: StatisticalCharacterization) -> dict:
         "conditions": tuple(condition.as_tuple()
                             for condition in result.fitting_conditions),
         "simulation_runs": int(result.simulation_runs),
-        "solver": result.solver,
     }
 
 
@@ -674,7 +590,11 @@ def _restore_solved(payload: dict, cell: Cell, arc: TimingArc,
                     technology: TechnologyNode,
                     variation: VariationSample
                     ) -> StatisticalCharacterization:
-    """Rebuild one arc's characterization from its persisted solved model."""
+    """Rebuild one arc's characterization from its persisted solved model.
+
+    Keys the record no longer carries (a ``"solver"`` name, written by
+    older runs) are ignored.
+    """
     inverter = reduce_cell_cached(cell, technology, arc=arc,
                                   variation=variation)
     conditions = tuple(InputCondition(sin=sin, cload=cload, vdd=vdd)
@@ -687,7 +607,6 @@ def _restore_solved(payload: dict, cell: Cell, arc: TimingArc,
         inverter=inverter,
         fitting_conditions=conditions,
         simulation_runs=int(payload["simulation_runs"]),
-        solver=str(payload["solver"]),
         delay_converged=payload.get("delay_converged"),
         slew_converged=payload.get("slew_converged"),
     )
@@ -700,7 +619,6 @@ def _characterize_fused_checkpointed(
     delay_prior: TimingPrior,
     slew_prior: TimingPrior,
     variation: VariationSample,
-    solver: str,
     executor,
     ledger: RunLedger,
     max_bytes: Optional[int],
@@ -728,7 +646,7 @@ def _characterize_fused_checkpointed(
             technology,
             [jobs[job] for job in remaining],
             [job_conditions[job] for job in remaining],
-            delay_prior, slew_prior, variation, solver, executor, ledger,
+            delay_prior, slew_prior, variation, "batched", executor, ledger,
             max_bytes, strict=strict, checkpointer=checkpointer,
             stepper=stepper)
         for job, result in zip(remaining, sub_results):
@@ -812,36 +730,29 @@ def characterize_library(
         Optional simulation-run accounting; every arc charges
         ``k * n_seeds`` runs under ``library:<cell>:<arc>``, identically in
         both execution modes.
-    solver:
-        Parameter-extraction solver (see
-        :class:`~repro.core.statistical_flow.StatisticalCharacterizer`).
+    solver, pipeline:
+        Accept only ``"batched"`` and ``"fused"``, the one extraction
+        solver and the one pipeline (see the module docstring); the
+        keywords stay for callers that spell them out.
     concurrency:
         Runtime executor mode: ``"serial"`` (default; shares the in-process
-        simulation cache), ``"chunked"`` (serial semantics over
-        deterministic job chunks) or ``"process"`` (process-pool fan-out).
-        Results are deterministic and identical across modes: the seed
-        batch and every arc's fitting conditions are fixed in the parent
-        before dispatch.
-    pipeline:
-        ``"fused"`` (default) runs the library-wide fused pipeline -- one
-        global simulation plan grouped by equivalent-inverter signature,
-        one stacked MAP solve per response; under ``concurrency="process"``
-        it fans out chunks of the *flat simulation axis* (better load
-        balance than whole-arc jobs, since arcs of very different cost
-        split evenly).  ``"per_arc"`` runs the pre-fusion one-job-per-arc
-        flow (kept for parity testing); both pipelines produce identical
-        results, counter charges and ledger run counts.
+        simulation cache) or ``"process"`` (process-pool fan-out of chunks
+        of the *flat simulation axis* -- better load balance than whole-arc
+        jobs, since arcs of very different cost split evenly).  Results are
+        deterministic and identical across modes: the seed batch and every
+        arc's fitting conditions are fixed in the parent before dispatch.
     max_workers:
         Process-pool size for ``concurrency="process"``.
     ledger:
-        Optional :class:`~repro.runtime.accounting.RunLedger`; per-arc
-        ledgers (stage wall time, simulation runs, solver iterations,
-        cache activity) merge into it in job order, identically in every
-        execution mode.  The merged record is also attached to the result.
+        Optional :class:`~repro.runtime.accounting.RunLedger`; the run's
+        stage wall time, simulation runs, solver iterations and cache
+        activity (worker ledgers merged in payload order) land on it,
+        identically in every execution mode.  The record is also attached
+        to the result.
     max_bytes:
-        Memory budget threaded to every arc's batched engines (explicitly,
-        so process workers honor it too); ``None`` defers each process to
-        its own ``repro.runtime.configure(max_bytes=...)``.
+        Memory budget threaded to the batched engines (explicitly, so
+        process workers honor it too); ``None`` defers each process to its
+        own ``repro.runtime.configure(max_bytes=...)``.
     strict:
         ``True`` (the default, also via ``REPRO_STRICT``) fails fast on the
         first broken arc, exactly the pre-resilience behavior.  ``False``
@@ -854,11 +765,10 @@ def characterize_library(
         between the two modes.
     retry_policy:
         Optional :class:`~repro.runtime.resilience.RetryPolicy` re-running
-        failed work before it counts as broken (per simulation chunk in the
-        fused pipeline, per arc job in the per-arc pipeline); ``None``
+        each failed simulation chunk before it counts as broken; ``None``
         disables retries.
     checkpoint_dir:
-        Optional checkpoint directory (fused pipeline only).  The run
+        Optional checkpoint directory.  The run
         journals completed work units there and commits simulated rows and
         solved models to crash-safe on-disk stores
         (:mod:`repro.runtime.checkpoint`), so a killed run can be resumed.
@@ -888,11 +798,9 @@ def characterize_library(
     if concurrency not in CONCURRENCY_MODES:
         raise ValueError(
             f"concurrency must be one of {CONCURRENCY_MODES}, got {concurrency!r}")
-    if pipeline not in PIPELINES:
-        raise ValueError(
-            f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
-    if solver not in SOLVERS:
-        raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
+    if pipeline != "fused":
+        raise ValueError(f"pipeline must be 'fused', got {pipeline!r}")
+    _check_solver(solver)
     if input_pins not in ("first", "all"):
         raise ValueError(f"input_pins must be 'first' or 'all', got {input_pins!r}")
     cells = list(library)
@@ -923,8 +831,7 @@ def characterize_library(
     run_ledger = ledger if ledger is not None else RunLedger()
     failures: List[FailureReport] = []
 
-    resolved_engine = resolve_transient_engine(transient_engine)
-    stepper = resolve_stepper(resolved_engine)
+    stepper = resolve_stepper(resolve_transient_engine(transient_engine))
 
     checkpointer: Optional[Checkpointer] = None
     preloaded: Dict[int, StatisticalCharacterization] = {}
@@ -932,11 +839,9 @@ def characterize_library(
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
     if checkpoint_dir is not None:
-        if pipeline != "fused":
-            raise ValueError("checkpoint_dir requires pipeline='fused'")
         signature = _checkpoint_signature(
             technology, library_name, jobs, job_conditions, variation,
-            delay_prior, slew_prior, solver, stepper)
+            delay_prior, slew_prior, stepper)
         checkpointer = Checkpointer(checkpoint_dir, signature, resume=resume)
         if resume:
             prior_failures = checkpointer.failures()
@@ -949,40 +854,24 @@ def characterize_library(
                 cell, arc = jobs[job]
                 preloaded[job] = _restore_solved(payload, cell, arc,
                                                  technology, variation)
-    # The per-arc pipeline retries inside the job (one layer around the
-    # whole attempt); the fused pipeline retries at the executor, around
-    # each simulation chunk.
-    executor = get_executor(
-        concurrency, max_workers=max_workers,
-        retry_policy=retry_policy if pipeline == "fused" else None)
+    # Retries run at the executor, around each simulation chunk.
+    executor = get_executor(concurrency, max_workers=max_workers,
+                            retry_policy=retry_policy)
     with run_ledger.stage("characterize_library"):
-        if pipeline == "fused":
-            if checkpointer is not None:
-                results, failures = _characterize_fused_checkpointed(
-                    technology, jobs, job_conditions, delay_prior, slew_prior,
-                    variation, solver, executor, run_ledger, max_bytes,
-                    strict_mode, checkpointer, preloaded, stepper=stepper)
-            else:
-                results, failures = characterize_fused_jobs(
-                    technology, jobs, job_conditions, delay_prior, slew_prior,
-                    variation, solver, executor, run_ledger, max_bytes,
-                    strict=strict_mode, stepper=stepper)
+        if checkpointer is not None:
+            results, failures = _characterize_fused_checkpointed(
+                technology, jobs, job_conditions, delay_prior, slew_prior,
+                variation, executor, run_ledger, max_bytes,
+                strict_mode, checkpointer, preloaded, stepper=stepper)
         else:
-            payloads = [
-                (technology, cell, arc, delay_prior, slew_prior, variation,
-                 job_conditions[index], solver, resolved_engine, max_bytes,
-                 strict_mode, retry_policy)
-                for index, (cell, arc) in enumerate(jobs)
-            ]
-            results = executor.map_accounted(_characterize_arc_job, payloads,
-                                             ledger=run_ledger)
+            results, failures = characterize_fused_jobs(
+                technology, jobs, job_conditions, delay_prior, slew_prior,
+                variation, solver, executor, run_ledger, max_bytes,
+                strict=strict_mode, stepper=stepper)
 
     entries: List[LibraryArcCharacterization] = []
     total_runs = 0
     for (cell, arc), result in zip(jobs, results):
-        if isinstance(result, FailureReport):
-            failures.append(result)
-            continue
         if result is None:
             continue
         if counter is not None:
@@ -1001,8 +890,8 @@ def characterize_library(
     for report in failures:
         run_ledger.add_failure(report)
     if strict_mode and failures:
-        # characterize_fused_jobs and the arc jobs fail fast under strict mode;
-        # this is a defensive backstop, not a reachable path.
+        # characterize_fused_jobs fails fast under strict mode; this is a
+        # defensive backstop, not a reachable path.
         raise RuntimeError(f"strict run recorded failures: "
                            f"{[f.describe() for f in failures]}")
     if prior_failures:
@@ -1024,11 +913,9 @@ def characterize_library(
         slew_range=tuple(technology.slew_range),
         cload_range=tuple(technology.cload_range),
         n_seeds=variation.n_seeds,
-        solver=solver,
         concurrency=concurrency,
         simulation_runs=total_runs,
         entries=tuple(entries),
-        pipeline=pipeline,
         ledger=run_ledger,
         failures=tuple(failures),
     )

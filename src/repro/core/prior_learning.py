@@ -28,8 +28,8 @@ Two fusion methods are provided:
 
 Both halves of the phase run fleet-scale batched:
 
-* :func:`characterize_historical_library` (default ``engine="fused"``)
-  pushes every (cell, arc, condition) row of a historical node through the
+* :func:`characterize_historical_library` pushes every (cell, arc,
+  condition) row of a historical node through the
   shared :class:`~repro.core.simulation_plan.SimulationPlan` -- one
   signature-grouped mega-batched RK4 pass per equivalent-inverter footprint
   with cross-arc dedup -- and fits all arcs in one stacked least-squares
@@ -39,37 +39,29 @@ Both halves of the phase run fleet-scale batched:
   :class:`~repro.bayes.factor_graph.BatchedFactorGraph` run, so a fleet of
   priors costs one batched BP call instead of one Python message loop per
   prior.
+
+Per-arc and scalar-loop reference implementations of both halves are test
+oracles in ``tests/oracles/``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bayes.factor_graph import BatchedFactorGraph, GaussianFactorGraph
+from repro.bayes.factor_graph import BatchedFactorGraph
 from repro.bayes.gaussian import GaussianDensity
 from repro.bayes.precision import PrecisionModel
-from repro.cells.equivalent_inverter import reduce_cell_cached
 from repro.cells.library import Cell, Transition
 from repro.characterization.input_space import InputSpace
 from repro.core.simulation_plan import SimulationPlan
-from repro.core.timing_model import (
-    CompactTimingModel,
-    FitResult,
-    N_PARAMETERS,
-    fit_least_squares,
-)
+from repro.core.timing_model import FitResult, N_PARAMETERS
 from repro.runtime.accounting import RunLedger
 from repro.runtime.executor import get_executor
-from repro.runtime.resilience import (
-    FailureReport,
-    RetryPolicy,
-    resolve_strict,
-    run_with_retry,
-)
-from repro.spice.sweep import sweep_conditions
+from repro.runtime.resilience import FailureReport, RetryPolicy, resolve_strict
 from repro.spice.testbench import SimulationCounter
 from repro.technology.node import TechnologyNode
 from repro.technology.sampling import latin_hypercube
@@ -82,14 +74,6 @@ RESPONSES = ("delay", "slew")
 #: historical library (the paper uses the full LUT grid; a moderate
 #: space-filling set gives the same parameter estimates far cheaper).
 DEFAULT_REFERENCE_CONDITIONS = 24
-
-#: Engines of :func:`characterize_historical_library`.
-HISTORICAL_ENGINES = ("fused", "batched")
-
-#: Belief-propagation engines of :func:`learn_priors` /
-#: :func:`learn_class_priors` (forwarded to
-#: :meth:`repro.bayes.factor_graph.BatchedFactorGraph.run_belief_propagation`).
-PRIOR_ENGINES = ("batched", "loop")
 
 
 @dataclass(frozen=True)
@@ -387,7 +371,6 @@ def characterize_historical_library(
     unit_conditions: Optional[np.ndarray] = None,
     transitions: Sequence[Transition] = (Transition.FALL, Transition.RISE),
     counter: Optional[SimulationCounter] = None,
-    engine: str = "fused",
     ledger: Optional[RunLedger] = None,
     max_bytes: Optional[int] = None,
     strict: Optional[bool] = None,
@@ -398,7 +381,10 @@ def characterize_historical_library(
     For every cell and requested output transition (using the first input pin
     of each cell, as the paper models one timing arc at a time), the shared
     normalized reference conditions are mapped into the technology's ranges,
-    simulated nominally, and fitted with plain least squares.
+    simulated nominally, and fitted with plain least squares.  Every
+    (cell, arc, condition) row flows through one :class:`SimulationPlan` --
+    signature-grouped mega-batched RK4 with cross-arc dedup and cache reuse
+    -- and all arcs are fitted in one stacked least-squares solve.
 
     Parameters
     ----------
@@ -413,12 +399,6 @@ def characterize_historical_library(
         Output transitions to cover.
     counter:
         Optional simulation-run accounting.
-    engine:
-        ``"fused"`` (default) flattens every (cell, arc, condition) row into
-        one :class:`SimulationPlan` -- signature-grouped mega-batched RK4
-        with cross-arc dedup and cache reuse -- and fits all arcs in one
-        stacked least-squares solve; ``"batched"`` integrates each arc's
-        reference-condition set in its own 2-D RK4 pass.
     ledger:
         Optional :class:`RunLedger`; stages ``priors:plan``,
         ``priors:simulate``/``priors:integrate`` and ``priors:fit`` plus
@@ -435,12 +415,8 @@ def characterize_historical_library(
         ``failures`` and the ledger.
     retry_policy:
         Optional :class:`~repro.runtime.resilience.RetryPolicy` re-running
-        failed work (per simulation chunk under the fused engine, per arc
-        otherwise) before it counts as broken.
+        each failed simulation chunk before it counts as broken.
     """
-    if engine not in HISTORICAL_ENGINES:
-        raise ValueError(
-            f"engine must be one of {HISTORICAL_ENGINES}, got {engine!r}")
     if unit_conditions is None:
         unit_conditions = shared_reference_conditions()
     unit_conditions = np.atleast_2d(np.asarray(unit_conditions, dtype=float))
@@ -450,73 +426,23 @@ def characterize_historical_library(
     physical = lows + unit_conditions * (highs - lows)
     conditions = [tuple(row) for row in physical]
 
-    strict_mode = resolve_strict(strict)
     local_counter = counter if counter is not None else SimulationCounter()
     run_ledger = ledger if ledger is not None else RunLedger()
     runs_before = local_counter.total
-    failures: List[FailureReport] = []
 
     arcs = [(cell, cell.arc(cell.input_pins[0], Transition(transition)))
             for cell in cells for transition in transitions]
-
-    if engine == "fused":
-        arc_fits, delay_residual_rows, slew_residual_rows, failures = (
-            _characterize_fused_historical(technology, arcs, physical,
-                                           conditions, local_counter,
-                                           run_ledger, max_bytes,
-                                           strict=strict_mode,
-                                           retry_policy=retry_policy))
-        arc_fits = [fit for fit in arc_fits if fit is not None]
-        delay_residual_rows = [row for row in delay_residual_rows
-                               if row is not None]
-        slew_residual_rows = [row for row in slew_residual_rows
-                              if row is not None]
-    else:
-        arc_fits = []
-        delay_residual_rows = []
-        slew_residual_rows = []
-        sin = physical[:, 0]
-        cload = physical[:, 1]
-        vdd = physical[:, 2]
-        for cell, arc in arcs:
-
-            def attempt(cell=cell, arc=arc):
-                with run_ledger.stage("priors:simulate"):
-                    measurements = sweep_conditions(
-                        cell, technology, conditions, arc=arc,
-                        counter=local_counter,
-                        counter_label=(
-                            f"historical:{technology.name}:{cell.name}"),
-                        engine=engine,
-                    )
-                with run_ledger.stage("priors:fit"):
-                    inverter = reduce_cell_cached(cell, technology, arc=arc)
-                    ieff = np.asarray(inverter.effective_current(vdd),
-                                      dtype=float).reshape(-1)
-                    delays = np.array([m.nominal_delay()
-                                       for m in measurements])
-                    slews = np.array([m.nominal_slew() for m in measurements])
-
-                    delay_fit = fit_least_squares(sin, cload, vdd, ieff,
-                                                  delays)
-                    slew_fit = fit_least_squares(sin, cload, vdd, ieff, slews)
-                return delay_fit, slew_fit
-
-            unit = f"{technology.name}:{cell.name}:{arc.name}"
-            try:
-                delay_fit, slew_fit = run_with_retry(
-                    attempt, retry_policy, site=f"historical:{unit}",
-                    ledger=run_ledger)
-            except Exception as error:
-                if strict_mode:
-                    raise
-                failures.append(FailureReport.from_exception(
-                    unit, "characterize", error))
-                continue
-            arc_fits.append(ArcFit(cell_name=cell.name, arc_name=arc.name,
-                                   delay_fit=delay_fit, slew_fit=slew_fit))
-            delay_residual_rows.append(delay_fit.residuals)
-            slew_residual_rows.append(slew_fit.residuals)
+    arc_fits, delay_residual_rows, slew_residual_rows, failures = (
+        _characterize_fused_historical(technology, arcs, physical,
+                                       conditions, local_counter,
+                                       run_ledger, max_bytes,
+                                       strict=resolve_strict(strict),
+                                       retry_policy=retry_policy))
+    arc_fits = [fit for fit in arc_fits if fit is not None]
+    delay_residual_rows = [row for row in delay_residual_rows
+                           if row is not None]
+    slew_residual_rows = [row for row in slew_residual_rows
+                          if row is not None]
 
     for report in failures:
         run_ledger.add_failure(report)
@@ -573,14 +499,16 @@ def characterize_historical_libraries(
     The same normalized conditions, simulation counter and ledger are
     threaded through every node, so fleet-level accounting (per-node
     ``priors:<technology>`` simulation counts, dedup/cache metrics) lands in
-    one place.
+    one place.  ``engine`` accepts only ``"fused"``, the one historical
+    engine (the keyword stays for callers that spell it out).
     """
+    if engine != "fused":
+        raise ValueError(f"engine must be 'fused', got {engine!r}")
     if unit_conditions is None:
         unit_conditions = shared_reference_conditions()
     return [characterize_historical_library(
                 technology, cells, unit_conditions=unit_conditions,
-                transitions=transitions, counter=counter, engine=engine,
-                ledger=ledger, max_bytes=max_bytes, strict=strict,
+                transitions=transitions, counter=counter, ledger=ledger, max_bytes=max_bytes, strict=strict,
                 retry_policy=retry_policy)
             for technology in technologies]
 
@@ -592,8 +520,7 @@ def _star_inputs(
     """Leaf evidence and drift covariance of one technology-star graph.
 
     ``named_matrices`` pairs each technology name with its ``(n_arcs, 4)``
-    parameter matrix; the order is the evidence-registration order, exactly
-    as :func:`learn_prior` builds its scalar star.
+    parameter matrix; the order is the evidence-registration order.
     """
     per_tech_means = np.array([matrix.mean(axis=0)
                                for _name, matrix in named_matrices])
@@ -614,6 +541,28 @@ def _star_inputs(
         leaves[name] = GaussianDensity(within.mean,
                                        sem_cov + 1e-10 * np.eye(N_PARAMETERS))
     return leaves, drift
+
+
+def _fuse_stars(
+    stars: Sequence[Tuple[Dict[str, GaussianDensity], np.ndarray]],
+    ledger: Optional[RunLedger] = None,
+) -> List[GaussianDensity]:
+    """Predictive target densities of technology stars, in one BP call.
+
+    Every ``(leaves, drift)`` star from :func:`_star_inputs` becomes one
+    stacked graph of a :class:`BatchedFactorGraph`; the prior for a new
+    technology node is the global belief widened by that star's drift.
+    """
+    leaves = {name: [star_leaves[name] for star_leaves, _drift in stars]
+              for name in stars[0][0]}
+    graph = BatchedFactorGraph.star(
+        "global", leaves, np.stack([drift for _leaves, drift in stars]))
+    with (ledger.stage("priors:bp") if ledger is not None
+          else nullcontext()):
+        global_batch = graph.run_belief_propagation()["global"]
+    return [GaussianDensity(global_batch.mean[index],
+                            global_batch.covariance[index] + drift)
+            for index, (_leaves, drift) in enumerate(stars)]
 
 
 def _finish_prior(
@@ -685,16 +634,9 @@ def learn_prior(
                                                jitter=1e-8)
         effective_method = "empirical"
     else:
-        leaves, drift = _star_inputs(
+        density, = _fuse_stars([_star_inputs(
             [(data.technology_name, data.parameter_matrix(response))
-             for data in historical], shrinkage)
-        graph = GaussianFactorGraph.star("global", leaves, drift)
-        beliefs = graph.run_belief_propagation()
-        global_belief = beliefs["global"]
-        # Predictive distribution for a new technology node: global belief
-        # widened by the technology-drift covariance.
-        density = GaussianDensity(global_belief.mean,
-                                  global_belief.covariance + drift)
+             for data in historical], shrinkage)])
         effective_method = "bp"
 
     return _finish_prior(historical, response, density, effective_method,
@@ -706,43 +648,27 @@ def learn_priors(historical: Sequence[HistoricalLibraryData], method: str = "bp"
                  ledger: Optional[RunLedger] = None) -> Dict[str, TimingPrior]:
     """Learn both the delay and the slew prior from the same historical data.
 
-    With the default ``engine="batched"`` (and BP applicable), the delay and
-    slew star graphs are stacked into one
+    With BP applicable, the delay and slew star graphs are stacked into one
     :class:`~repro.bayes.factor_graph.BatchedFactorGraph` and solved in a
-    single batched belief-propagation call; ``engine="loop"`` runs the
-    scalar graph per response (the equivalence reference).  The BP wall time
-    lands on ``ledger`` under the ``priors:bp`` stage.
+    single belief-propagation call.  ``engine`` accepts only ``"batched"``,
+    the one BP engine (the keyword stays for callers that spell it out).
+    The BP wall time lands on ``ledger`` under the ``priors:bp`` stage.
     """
-    if engine not in PRIOR_ENGINES:
-        raise ValueError(
-            f"engine must be one of {PRIOR_ENGINES}, got {engine!r}")
+    if engine != "batched":
+        raise ValueError(f"engine must be 'batched', got {engine!r}")
     run_ledger = ledger if ledger is not None else RunLedger()
-    if engine == "loop" or method != "bp" or len(historical) <= 1:
+    if method != "bp" or len(historical) <= 1:
         with run_ledger.stage("priors:bp"):
             return {response: learn_prior(historical, response=response,
                                           method=method, shrinkage=shrinkage)
                     for response in RESPONSES}
 
-    stars = [_star_inputs([(data.technology_name,
-                            data.parameter_matrix(response))
-                           for data in historical], shrinkage)
-             for response in RESPONSES]
-    leaf_names = list(stars[0][0])
-    leaves = {name: [star_leaves[name] for star_leaves, _drift in stars]
-              for name in leaf_names}
-    drift_stack = np.stack([drift for _leaves, drift in stars])
-    graph = BatchedFactorGraph.star("global", leaves, drift_stack)
-    with run_ledger.stage("priors:bp"):
-        beliefs = graph.run_belief_propagation()
-    global_batch = beliefs["global"]
-    priors: Dict[str, TimingPrior] = {}
-    for index, response in enumerate(RESPONSES):
-        drift = stars[index][1]
-        density = GaussianDensity(global_batch.mean[index],
-                                  global_batch.covariance[index] + drift)
-        priors[response] = _finish_prior(historical, response, density,
-                                         "bp", 1.0)
-    return priors
+    densities = _fuse_stars(
+        [_star_inputs([(data.technology_name, data.parameter_matrix(response))
+                       for data in historical], shrinkage)
+         for response in RESPONSES], run_ledger)
+    return {response: _finish_prior(historical, response, density, "bp", 1.0)
+            for response, density in zip(RESPONSES, densities)}
 
 
 def learn_class_priors(
@@ -750,7 +676,6 @@ def learn_class_priors(
     method: str = "bp",
     shrinkage: float = 0.1,
     prior_widening: float = 1.0,
-    engine: str = "batched",
     class_of: Optional[Callable[[ArcFit], str]] = None,
     ledger: Optional[RunLedger] = None,
 ) -> Dict[Tuple[str, str], TimingPrior]:
@@ -761,8 +686,7 @@ def learn_class_priors(
     Only classes present in *every* historical library are learned; each
     (response, class) pair gets its own technology-star graph built from the
     class's per-library parameter matrices, and all stars are solved
-    together in one :class:`BatchedFactorGraph` run (``engine="loop"``
-    keeps the per-graph scalar reference path).
+    together in one :class:`BatchedFactorGraph` run.
 
     Returns a dict keyed by ``(response, class_name)``.
     """
@@ -772,9 +696,6 @@ def learn_class_priors(
         raise ValueError(f"method must be 'bp' or 'empirical', got {method!r}")
     if prior_widening <= 0.0:
         raise ValueError("prior_widening must be positive")
-    if engine not in PRIOR_ENGINES:
-        raise ValueError(
-            f"engine must be one of {PRIOR_ENGINES}, got {engine!r}")
 
     key_of = class_of if class_of is not None else (lambda fit: fit.cell_name)
     per_library: List[Dict[str, List[ArcFit]]] = []
@@ -812,23 +733,13 @@ def learn_class_priors(
                 historical, response, density, "empirical", prior_widening)
         return priors
 
-    stars = [_star_inputs(
-                 [(data.technology_name, class_matrix(classes, name, response))
-                  for data, classes in zip(historical, per_library)],
-                 shrinkage)
-             for response, name in pairs]
-    leaf_names = list(stars[0][0])
-    leaves = {leaf: [star_leaves[leaf] for star_leaves, _drift in stars]
-              for leaf in leaf_names}
-    drift_stack = np.stack([drift for _leaves, drift in stars])
-    graph = BatchedFactorGraph.star("global", leaves, drift_stack)
-    with run_ledger.stage("priors:bp"):
-        beliefs = graph.run_belief_propagation(engine=engine)
-    global_batch = beliefs["global"]
-    for index, (response, name) in enumerate(pairs):
-        density = GaussianDensity(global_batch.mean[index],
-                                  global_batch.covariance[index]
-                                  + stars[index][1])
+    densities = _fuse_stars(
+        [_star_inputs(
+            [(data.technology_name, class_matrix(classes, name, response))
+             for data, classes in zip(historical, per_library)],
+            shrinkage)
+         for response, name in pairs], run_ledger)
+    for (response, name), density in zip(pairs, densities):
         priors[(response, name)] = _finish_prior(historical, response, density,
                                                  "bp", prior_widening)
     return priors

@@ -94,7 +94,7 @@ class SignatureGroup:
     ``triples`` -- the group's *unique* operating points.  Rows of
     footprint-twin arcs at the same operating point are physically the same
     simulation, so they share a slot and are integrated exactly once (a
-    dedup the per-arc pipeline cannot see: its cache keys carry the cell
+    dedup the per-arc simulation cache cannot see: its keys carry the cell
     identity).
     """
 

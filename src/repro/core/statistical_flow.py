@@ -33,7 +33,6 @@ from repro.characterization.input_space import (
     conditions_to_arrays,
 )
 from repro.core.batch_map import BatchMapObservations, map_estimate_batch
-from repro.core.map_estimation import MapObservations, map_estimate
 from repro.core.prior_learning import TimingPrior
 from repro.core.timing_model import CompactTimingModel, TimingModelParameters
 from repro.runtime import register_runtime_cache
@@ -44,9 +43,6 @@ from repro.spice.testbench import SimulationCounter
 from repro.technology.node import TechnologyNode
 from repro.technology.variation import VariationSample
 from repro.utils.rng import RandomState, ensure_rng
-
-#: Parameter-extraction solvers selectable in :class:`StatisticalCharacterizer`.
-SOLVERS = ("batched", "scipy")
 
 #: Per-(characterization, supply) effective-current rows.  An STA run queries
 #: one analysis supply thousands of times per characterization; the
@@ -149,13 +145,9 @@ class StatisticalCharacterization:
         The ``k`` input conditions that were simulated.
     simulation_runs:
         Total simulator invocations spent (``k * n_seeds``).
-    solver:
-        Which extraction solver produced the parameters (``"batched"`` or
-        ``"scipy"``).
     delay_converged, slew_converged:
-        Optional per-seed convergence flags from the batched solver
-        (``None`` for the scipy path, whose per-seed ``FitResult`` objects
-        are not retained).
+        Optional per-seed convergence flags of the extraction solve
+        (``None`` when the producer kept none).
     """
 
     cell_name: str
@@ -166,7 +158,6 @@ class StatisticalCharacterization:
     fitting_conditions: Tuple[InputCondition, ...]
     simulation_runs: int
     _model: CompactTimingModel = CompactTimingModel()
-    solver: str = "batched"
     delay_converged: Optional[np.ndarray] = None
     slew_converged: Optional[np.ndarray] = None
 
@@ -186,8 +177,8 @@ class StatisticalCharacterization:
     def unconverged_seeds(self) -> np.ndarray:
         """Seed indices whose delay or slew extraction failed to converge.
 
-        Empty when everything converged, and also for the scipy path (which
-        does not retain per-seed flags).
+        Empty when everything converged, and also when no per-seed flags
+        were kept.
         """
         flags = np.zeros(self.n_seeds, dtype=bool)
         if self.delay_converged is not None:
@@ -348,15 +339,12 @@ class StatisticalCharacterizer:
         n_seeds: int = 200,
         rng: RandomState = None,
         counter: Optional[SimulationCounter] = None,
-        solver: str = "batched",
         ledger: Optional[RunLedger] = None,
         max_bytes: Optional[int] = None,
         transient_engine: Optional[str] = None,
     ):
         if n_seeds < 2:
             raise ValueError("statistical characterization needs at least 2 seeds")
-        if solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
         self._technology = technology
         self._cell = cell
         self._arc = arc if arc is not None else cell.timing_arcs()[1]
@@ -368,7 +356,6 @@ class StatisticalCharacterizer:
         self._space = InputSpace(technology)
         self._model = CompactTimingModel()
         self._variation: Optional[VariationSample] = None
-        self._solver = solver
         self._ledger = ledger
         self._max_bytes = max_bytes
         #: Transient integration engine of the simulate stage (``None``
@@ -382,11 +369,6 @@ class StatisticalCharacterizer:
     def n_seeds(self) -> int:
         """Number of Monte Carlo seeds used per characterization."""
         return self._n_seeds
-
-    @property
-    def solver(self) -> str:
-        """The default parameter-extraction solver (``"batched"`` / ``"scipy"``)."""
-        return self._solver
 
     @property
     def variation(self) -> Optional[VariationSample]:
@@ -404,9 +386,11 @@ class StatisticalCharacterizer:
     # Characterization
     # ------------------------------------------------------------------
     def characterize(self, conditions: Union[int, Sequence[InputCondition]],
-                     rng: RandomState = None,
-                     solver: Optional[str] = None) -> StatisticalCharacterization:
+                     rng: RandomState = None) -> StatisticalCharacterization:
         """Run the statistical flow with ``k`` fitting conditions.
+
+        The parameters of every seed are extracted by the seed-vectorized
+        Levenberg-Marquardt solver of :mod:`repro.core.batch_map`.
 
         Parameters
         ----------
@@ -415,16 +399,7 @@ class StatisticalCharacterizer:
             explicit condition list.
         rng:
             Random source for automatic condition selection.
-        solver:
-            Parameter-extraction solver for this run: ``"batched"`` (the
-            seed-vectorized Levenberg-Marquardt solver of
-            :mod:`repro.core.batch_map`, default) or ``"scipy"`` (one
-            trust-region solve per seed and response; kept for parity
-            testing).  ``None`` uses the constructor's choice.
         """
-        solver = self._solver if solver is None else solver
-        if solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
         if isinstance(conditions, int):
             conditions = self._space.sample_lhs(conditions,
                                                 ensure_rng(rng) if rng is not None
@@ -463,14 +438,13 @@ class StatisticalCharacterizer:
         slew_matrix = np.stack([np.asarray(m.output_slew).reshape(-1)
                                 for m in measurements], axis=0)
         return self._extract(conditions, inverter, delay_matrix, slew_matrix,
-                             runs, solver)
+                             runs)
 
     def characterize_from_measurements(
         self,
         conditions: Sequence[InputCondition],
         delay_matrix: np.ndarray,
         slew_matrix: np.ndarray,
-        solver: Optional[str] = None,
         simulation_runs: Optional[int] = None,
     ) -> StatisticalCharacterization:
         """Extraction-only flow: inject presimulated per-seed measurements.
@@ -490,8 +464,6 @@ class StatisticalCharacterizer:
             Measured responses of shape ``(k, n_seeds)`` (condition-major),
             SI seconds, with ``n_seeds`` matching the characterizer's seed
             batch.
-        solver:
-            Extraction solver override (as in :meth:`characterize`).
         simulation_runs:
             Run count recorded on the result; defaults to ``k * n_seeds``
             (what measuring the matrices costs), letting orchestrators that
@@ -504,9 +476,6 @@ class StatisticalCharacterizer:
             the per-seed effective currents require the concrete seeds) or
             on shape mismatches.
         """
-        solver = self._solver if solver is None else solver
-        if solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
         conditions = list(conditions)
         if not conditions:
             raise ValueError("at least one fitting condition is required")
@@ -527,70 +496,43 @@ class StatisticalCharacterizer:
         runs = (int(simulation_runs) if simulation_runs is not None
                 else len(conditions) * self._variation.n_seeds)
         return self._extract(conditions, inverter, delay_matrix, slew_matrix,
-                             runs, solver)
+                             runs)
 
     def _extract(self, conditions: List[InputCondition],
                  inverter: EquivalentInverter, delay_matrix: np.ndarray,
-                 slew_matrix: np.ndarray, runs: int,
-                 solver: str) -> StatisticalCharacterization:
+                 slew_matrix: np.ndarray,
+                 runs: int) -> StatisticalCharacterization:
         """The shared extract stage behind both characterization entry points."""
         ledger = self._ledger
         delay_obs, slew_obs = arc_observation_pair(
             self._technology, inverter, conditions, self._delay_prior,
             self._slew_prior, delay_matrix, slew_matrix, space=self._space)
 
-        n_seeds = delay_obs.n_seeds
-        delay_converged: Optional[np.ndarray] = None
-        slew_converged: Optional[np.ndarray] = None
         with (ledger.stage("extract") if ledger is not None else nullcontext()):
-            if solver == "batched":
-                # One seed-vectorized Levenberg-Marquardt solve per response:
-                # every seed is a row of the (n_seeds, k) observation matrices.
-                delay_result = map_estimate_batch(
-                    self._delay_prior, delay_obs, model=self._model,
-                    max_bytes=self._max_bytes)
-                slew_result = map_estimate_batch(
-                    self._slew_prior, slew_obs, model=self._model,
-                    max_bytes=self._max_bytes)
-                delay_params = delay_result.parameters
-                slew_params = slew_result.parameters
-                delay_converged = delay_result.converged
-                slew_converged = slew_result.converged
-                if ledger is not None:
-                    ledger.add_metric(
-                        "solver_iterations",
-                        int(delay_result.n_iterations.sum()
-                            + slew_result.n_iterations.sum()))
-            else:
-                delay_params = np.empty((n_seeds, 4))
-                slew_params = np.empty((n_seeds, 4))
-                for seed in range(n_seeds):
-                    seed_delay = MapObservations(
-                        sin=delay_obs.sin, cload=delay_obs.cload,
-                        vdd=delay_obs.vdd, ieff=delay_obs.ieff[seed],
-                        response=delay_obs.response[seed], beta=delay_obs.beta)
-                    seed_slew = MapObservations(
-                        sin=slew_obs.sin, cload=slew_obs.cload,
-                        vdd=slew_obs.vdd, ieff=slew_obs.ieff[seed],
-                        response=slew_obs.response[seed], beta=slew_obs.beta)
-                    delay_params[seed] = map_estimate(self._delay_prior, seed_delay,
-                                                      model=self._model).params.as_array()
-                    slew_params[seed] = map_estimate(self._slew_prior, seed_slew,
-                                                     model=self._model).params.as_array()
-                if ledger is not None:
-                    ledger.add_metric("extraction_solves", 2 * n_seeds)
+            # One seed-vectorized Levenberg-Marquardt solve per response:
+            # every seed is a row of the (n_seeds, k) observation matrices.
+            delay_result = map_estimate_batch(
+                self._delay_prior, delay_obs, model=self._model,
+                max_bytes=self._max_bytes)
+            slew_result = map_estimate_batch(
+                self._slew_prior, slew_obs, model=self._model,
+                max_bytes=self._max_bytes)
+            if ledger is not None:
+                ledger.add_metric(
+                    "solver_iterations",
+                    int(delay_result.n_iterations.sum()
+                        + slew_result.n_iterations.sum()))
 
         return StatisticalCharacterization(
             cell_name=self._cell.name,
             arc_name=self._arc.name,
-            delay_parameters=delay_params,
-            slew_parameters=slew_params,
+            delay_parameters=delay_result.parameters,
+            slew_parameters=slew_result.parameters,
             inverter=inverter,
             fitting_conditions=tuple(conditions),
             simulation_runs=runs,
-            solver=solver,
-            delay_converged=delay_converged,
-            slew_converged=slew_converged,
+            delay_converged=delay_result.converged,
+            slew_converged=slew_result.converged,
         )
 
     #: Alias so the statistical flow matches the nominal characterizer's

@@ -7,9 +7,8 @@ extraction, timing graph):
   LRU plus a process-wide registry (:func:`cache_stats`);
 * :mod:`repro.runtime.chunking` -- deterministic, memory-budgeted chunk
   planning over the engines' work axes;
-* :mod:`repro.runtime.executor` -- pluggable ``serial`` / ``chunked`` /
-  ``process`` job execution with order-preserving results and merged
-  accounting;
+* :mod:`repro.runtime.executor` -- pluggable ``serial`` / ``process``
+  job execution with order-preserving results and merged accounting;
 * :mod:`repro.runtime.accounting` -- the unified :class:`RunLedger`;
 * :mod:`repro.runtime.resilience` -- retry policies, structured failure
   reports, and the ``strict=`` resolution of the library flows;
@@ -63,7 +62,6 @@ from repro.runtime.cache import (
 from repro.runtime.chunking import chunk_count, plan_chunks
 from repro.runtime.executor import (
     EXECUTOR_MODES,
-    ChunkedExecutor,
     ProcessExecutor,
     SerialExecutor,
     get_executor,
@@ -334,7 +332,6 @@ __all__ = [
     "CacheStats",
     "CheckpointMismatch",
     "Checkpointer",
-    "ChunkedExecutor",
     "CircuitBreaker",
     "DeadlineExceeded",
     "DiskStore",

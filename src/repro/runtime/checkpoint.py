@@ -27,7 +27,7 @@ so a torn tail (the line being appended when the process died) is dropped
 instead of parsed; a wrong run *signature* -- the
 :func:`~repro.runtime.persist.stable_key_digest` of everything that shapes
 the run (technology and variation fingerprints, the job list and its
-conditions, the prior fingerprints, the solver) -- raises
+conditions, the prior fingerprints, the transient stepper) -- raises
 :class:`CheckpointMismatch` rather than resuming into different inputs.
 Journal and store writes degrade, never abort: an unwritable journal counts
 ``journal_errors`` and the run continues as a plain (non-durable) run.
@@ -145,7 +145,7 @@ class Checkpointer:
                     f"signature {header.get('signature')!r}; this run's "
                     f"signature is {self._signature!r} -- the inputs "
                     f"(technology, library, conditions, seeds, priors or "
-                    f"solver) differ, so its units cannot be reused")
+                    f"stepper) differ, so its units cannot be reused")
             for record in records[1:]:
                 kind = record.get("kind")
                 if kind == "solve":

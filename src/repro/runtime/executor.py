@@ -8,10 +8,6 @@ now run on:
 
 * ``serial`` -- in-process, one job at a time (the default, and the only
   mode that shares the process-wide runtime caches with the caller);
-* ``chunked`` -- in-process, but jobs are walked in deterministic
-  contiguous chunks (:func:`repro.runtime.chunking.plan_chunks`), giving
-  sharding-shaped execution -- per-chunk accounting merges, bounded
-  peak state -- without leaving the process;
 * ``process`` -- fan-out over a ``ProcessPoolExecutor``; workers get
   pickled payloads, run the same batched engines, and return their results
   (and ledgers) for in-order merging.
@@ -44,11 +40,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.runtime import faultinject
 from repro.runtime.accounting import RunLedger
-from repro.runtime.chunking import plan_chunks
 from repro.runtime.resilience import RetryPolicy, run_with_retry
 
 #: Execution modes selectable in :func:`get_executor`.
-EXECUTOR_MODES = ("serial", "chunked", "process")
+EXECUTOR_MODES = ("serial", "process")
 
 SITE_PROCESS_MAP = faultinject.register_fault_site(
     "executor.process.map",
@@ -119,8 +114,8 @@ class SerialExecutor:
         """Apply ``fn`` to every payload, returning results in order.
 
         ``on_result(index, result)``, when given, is invoked as each
-        payload's result becomes available (in payload order for the
-        in-process executors; in collection order for the process pool) --
+        payload's result becomes available (in payload order, as soon as
+        a contiguous prefix of results is in) --
         the hook the checkpoint layer uses to commit completed work units
         *during* a long map instead of after it.
         """
@@ -176,44 +171,6 @@ class SerialExecutor:
                 ledger.add_metric("executor_retries", self.last_retries)
             if self.last_fallbacks:
                 ledger.add_metric("executor_fallbacks", self.last_fallbacks)
-        return results
-
-
-class ChunkedExecutor(SerialExecutor):
-    """In-process execution over deterministic contiguous chunks.
-
-    Semantically identical to :class:`SerialExecutor`; the explicit chunk
-    walk exists so long job lists execute in bounded slices with a
-    well-defined merge point after each chunk -- the same shape a future
-    multi-node shard scheduler needs.
-    """
-
-    mode = "chunked"
-
-    def __init__(self, chunk_size: int = 8,
-                 retry_policy: Optional[RetryPolicy] = None):
-        super().__init__(retry_policy=retry_policy)
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        self._chunk_size = int(chunk_size)
-
-    @property
-    def chunk_size(self) -> int:
-        """Maximum jobs per chunk."""
-        return self._chunk_size
-
-    def map(self, fn: Callable, payloads: Sequence,
-            on_result: Optional[Callable] = None) -> List:
-        payloads = list(payloads)
-        self._reset_counters()
-        n_chunks = -(-len(payloads) // self._chunk_size) if payloads else 0
-        results: List = []
-        for chunk in plan_chunks(len(payloads), n_chunks=n_chunks):
-            for index in range(chunk.start, chunk.stop):
-                result = self._run_one(fn, payloads[index], index)
-                if on_result is not None:
-                    on_result(index, result)
-                results.append(result)
         return results
 
 
@@ -315,7 +272,6 @@ class ProcessExecutor(SerialExecutor):
 
 
 def get_executor(mode: str, max_workers: Optional[int] = None,
-                 chunk_size: int = 8,
                  retry_policy: Optional[RetryPolicy] = None) -> SerialExecutor:
     """Build an executor by mode name.
 
@@ -325,17 +281,12 @@ def get_executor(mode: str, max_workers: Optional[int] = None,
         One of :data:`EXECUTOR_MODES`.
     max_workers:
         Pool size for ``"process"`` (ignored otherwise).
-    chunk_size:
-        Jobs per chunk for ``"chunked"`` (ignored otherwise).
     retry_policy:
         Optional :class:`~repro.runtime.resilience.RetryPolicy` applied to
         each job in any mode (``None`` = historical fail-fast behavior).
     """
     if mode == "serial":
         return SerialExecutor(retry_policy=retry_policy)
-    if mode == "chunked":
-        return ChunkedExecutor(chunk_size=chunk_size,
-                               retry_policy=retry_policy)
     if mode == "process":
         return ProcessExecutor(max_workers=max_workers,
                                retry_policy=retry_policy)

@@ -197,8 +197,9 @@ class FaultEvent:
 class FaultInjector:
     """Holds fault specs and the per-site call counters that schedule them.
 
-    Thread-safe (the process executors' serial fallbacks run in the parent
-    thread, but chunked maps may interleave); activate with :func:`inject`.
+    Thread-safe (the process executor's serial fallbacks run in the parent
+    thread, but threads sharing a store or service may interleave);
+    activate with :func:`inject`.
     """
 
     specs: Sequence[FaultSpec] = ()

@@ -30,7 +30,9 @@ harness, see :mod:`repro.runtime.faultinject`):
   oldest entries (by modification time) are dropped under a best-effort
   lock file.  The lock is published whole (a token file hard-linked into
   place), released only by its owner, and broken rather than waited on
-  once stale (dead pid or expired age).
+  once stale (dead pid or expired age).  Breaking moves the lock aside and
+  deletes it only if it is the lock that was judged stale, so a writer
+  that lost the race to break it never deletes the winner's fresh lock.
 
 Keys are arbitrary picklable tuples (the same tuples the in-memory caches
 use); :func:`stable_key_digest` maps them to SHA-256 hex names through a
@@ -50,7 +52,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -318,7 +320,15 @@ class DiskStore:
         try:
             data = path.read_bytes()
         except FileNotFoundError:
-            self._drop_from_index(digest)
+            # Evicted or discarded through another handle -- unless a
+            # concurrent put committed it since the read: only forget the
+            # entry if it is still absent, checked under the index lock
+            # that put takes to index it.
+            with self._stats_lock:
+                if not path.exists():
+                    size = self._index.pop(digest, None)
+                    if size is not None:
+                        self._current_bytes -= size
             self._count_miss()
             return default
         except OSError:
@@ -502,7 +512,8 @@ class DiskStore:
 
         The lock file is published whole: a unique token is written to a
         temp file and hard-linked to ``.lock``, which fails if a lock
-        already exists, so no reader ever sees a half-written lock.
+        already exists, so no reader ever sees a half-written lock.  A lock
+        judged stale is broken by :meth:`_break_lock`.
         """
         faultinject.plant_stale_lock(SITE_STORE_LOCK, self._lock_path)
         token = f"{os.getpid()}:{time.time()}:{uuid.uuid4().hex}"
@@ -510,11 +521,10 @@ class DiskStore:
             try:
                 self._publish_lock(token)
             except FileExistsError:
-                if not self._lock_is_stale():
-                    return None
-                try:
-                    self._lock_path.unlink()
-                except OSError:
+                seen = self._read_lock(self._lock_path)
+                if seen is None:
+                    continue  # released in the meantime: publish again
+                if not self._lock_is_stale(seen) or not self._break_lock(seen):
                     return None
                 with self._stats_lock:
                     self._stale_locks_broken += 1
@@ -536,23 +546,35 @@ class DiskStore:
             except OSError:
                 pass
 
-    def _lock_is_stale(self) -> bool:
-        """A lock is stale when its holder is dead or it outlived its age.
+    @staticmethod
+    def _read_lock(path: Path) -> Optional[Tuple[str, int]]:
+        """A lock file's identity: its ``(content, mtime_ns)``, or ``None``.
 
-        A lock without a readable ``pid:time`` (empty, garbled) is held
-        until its file is older than ``stale_lock_s``.
+        Both come from one open file, so they describe the same lock.
+        Fresh locks carry unique tokens, so two reads with equal identities
+        saw the same lock (or locks that judge stale alike).
         """
         try:
-            mtime = self._lock_path.stat().st_mtime
+            with open(path, "rb") as handle:
+                mtime_ns = os.fstat(handle.fileno()).st_mtime_ns
+                return handle.read().decode("utf-8", "replace"), mtime_ns
         except OSError:
-            return False  # already gone: nothing to break
+            return None
+
+    def _lock_is_stale(self, seen: Tuple[str, int]) -> bool:
+        """A lock is stale when its holder is dead or it outlived its age.
+
+        ``seen`` is the lock's :meth:`_read_lock` identity.  A lock without
+        a readable ``pid:time`` (empty, garbled) is held until its file is
+        older than ``stale_lock_s``.
+        """
+        text, mtime_ns = seen
         try:
-            pid_text, stamp_text = (
-                self._lock_path.read_text(encoding="utf-8").split(":")[:2])
+            pid_text, stamp_text = text.split(":")[:2]
             pid = int(pid_text)
             stamp = float(stamp_text)
-        except (OSError, ValueError):
-            return time.time() - mtime > self._stale_lock_s
+        except ValueError:
+            return time.time() - mtime_ns / 1e9 > self._stale_lock_s
         if time.time() - stamp > self._stale_lock_s:
             return True
         if pid == os.getpid():
@@ -564,6 +586,36 @@ class DiskStore:
         except OSError:
             return False
         return False
+
+    def _break_lock(self, seen: Tuple[str, int]) -> bool:
+        """Delete the stale lock ``seen``; ``False`` if ``.lock`` is another.
+
+        Two writers can judge the same lock stale; the first breaks it and
+        publishes its own.  So ``.lock`` is renamed aside (atomic, and only
+        one writer can move a given file) and deleted only if the moved
+        file is the lock that was judged stale.  A fresh lock is linked
+        back into place and counts as held.  (Should a third writer publish
+        in the instant between the move and the link-back, the link-back
+        fails and that fresh lock is lost.)
+        """
+        aside = self._tmp_dir / f"{uuid.uuid4().hex}.broken"
+        try:
+            os.rename(self._lock_path, aside)
+        except OSError:
+            return False  # already moved by another writer
+        try:
+            if self._read_lock(aside) == seen:
+                return True
+            try:
+                os.link(aside, self._lock_path)
+            except OSError:
+                pass
+            return False
+        finally:
+            try:
+                os.unlink(aside)
+            except OSError:
+                pass
 
     def _release_lock(self, token: str) -> None:
         """Remove the lock, but only while it still holds our ``token``."""

@@ -14,7 +14,7 @@ Four disciplines, one per failure mode of a naive serving loop:
 * **Single-flight coalescing.**  Every requested ``(cell, arc)`` at a fixed
   condition set is keyed by a content digest over everything that shapes
   its numbers (technology and variation fingerprints, both priors, the
-  solver, the transient stepper signature, the conditions).  Within a
+  transient stepper signature, the conditions).  Within a
   batch, N requests for the same key become ONE fused-pipeline job whose
   solved model is delivered to all of them; across batches, solved models
   land in a service-level LRU so repeat requests never re-enter the
@@ -276,7 +276,8 @@ class CharacterizationService:
         against (one service = one context; the single-flight digests
         include its fingerprints, so distinct contexts never alias).
     solver:
-        Extraction solver forwarded to the fused pipeline.
+        Accepts only ``"batched"``, the fused pipeline's one extraction
+        solver (the keyword stays for callers that spell it out).
     executor:
         A runtime executor instance, or ``None`` for the serial executor
         (the scheduler thread is already the concurrency boundary).
@@ -308,11 +309,12 @@ class CharacterizationService:
                  solved_cache_entries: int = 4096,
                  max_bytes: Optional[int] = None,
                  start: bool = True) -> None:
+        if solver != "batched":
+            raise ValueError(f"solver must be 'batched', got {solver!r}")
         self.technology = technology
         self.delay_prior = delay_prior
         self.slew_prior = slew_prior
         self.variation = variation
-        self.solver = solver
         self.stepper = stepper
         self.executor = executor if executor is not None else get_executor("serial")
         self.max_bytes = max_bytes
@@ -343,7 +345,6 @@ class CharacterizationService:
                             variation.fingerprint(),
                             delay_prior.fingerprint(),
                             slew_prior.fingerprint(),
-                            solver,
                             stepper.signature() if stepper is not None
                             else "default")
         self._lock = threading.Lock()
@@ -691,7 +692,7 @@ class CharacterizationService:
         from repro.core.library_flow import characterize_fused_jobs
         return characterize_fused_jobs(
             self.technology, jobs, job_conditions, self.delay_prior,
-            self.slew_prior, self.variation, self.solver, self.executor,
+            self.slew_prior, self.variation, "batched", self.executor,
             ledger, self.max_bytes, strict=False, stepper=self.stepper)
 
     # ------------------------------------------------------------------

@@ -6,21 +6,15 @@ the actual capacitive load (sum of fanout input-pin capacitances plus any
 external load), and the worst primary-output arrival together with its
 critical path is reported.
 
-Two engines produce identical reports (the test suite enforces agreement at
-``rtol <= 1e-12``):
-
-* ``engine="loop"`` -- the reference engine: one Python iteration and one
-  timing-view query per gate.
-* ``engine="batched"`` (default) -- the level-batched engine: the netlist is
-  compiled once (:meth:`~repro.sta.netlist.Netlist.compile`), arrivals and
-  slews live in flat per-net arrays, each topological level resolves its
-  worst fanins with segmented ``np.maximum.reduceat`` reductions over the
-  CSR fanin arrays, and one batched timing query is issued per (level, cell
-  type) group.
-
-Both engines read every net's capacitive load from one precomputed load
-vector (external load plus summed fanout pin capacitances), so no fanout
-list is walked during propagation.
+The engine is level-batched: the netlist is compiled once
+(:meth:`~repro.sta.netlist.Netlist.compile`), arrivals and slews live in
+flat per-net arrays, each topological level resolves its worst fanins with
+segmented ``np.maximum.reduceat`` reductions over the CSR fanin arrays, and
+one batched timing query is issued per (level, cell type) group.  Every
+net's capacitive load comes from one precomputed load vector (external load
+plus summed fanout pin capacitances), so no fanout list is walked during
+propagation.  A per-gate loop analyzer in ``tests/oracles/loop_timing.py``
+checks the engine at ``rtol <= 1e-12``.
 """
 
 from __future__ import annotations
@@ -34,9 +28,6 @@ import numpy as np
 from repro.runtime.accounting import RunLedger
 from repro.sta.netlist import CompiledNetlist, Netlist
 from repro.sta.timing_view import TimingView
-
-#: Propagation engines selectable on the analyzers.
-ENGINES = ("batched", "loop")
 
 #: Minimum load a gate output sees, even when dangling (farads).
 MIN_LOAD_F = 1e-17
@@ -67,12 +58,6 @@ class PathReport:
     critical_path: Tuple[str, ...]
 
 
-def _check_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine
-
-
 def _net_load_vector(compiled: CompiledNetlist, view: TimingView) -> np.ndarray:
     """Per-net-index load vector from a view's input-pin capacitances."""
     return compiled.net_loads(view.input_capacitances())
@@ -81,8 +66,8 @@ def _net_load_vector(compiled: CompiledNetlist, view: TimingView) -> np.ndarray:
 class TimingGraphAnalyzer:
     """Shared state management of the STA and SSTA analyzers.
 
-    Owns the compiled netlist, the per-net-index load vector and the
-    engine switch; subclasses provide ``_run_loop`` / ``_run_batched``.
+    Owns the compiled netlist and the per-net-index load vector;
+    subclasses provide ``_propagate``.
     An optional :class:`~repro.runtime.accounting.RunLedger` records each
     :meth:`run` as one stage (``"sta"`` / ``"ssta"``) with per-run cache
     activity and a ``gate_evaluations`` metric.
@@ -94,11 +79,9 @@ class TimingGraphAnalyzer:
     def __init__(self, netlist: Netlist, timing_view: TimingView,
                  primary_input_slew: float = 5e-12,
                  primary_input_arrival: float = 0.0,
-                 engine: str = "batched",
                  ledger: Optional[RunLedger] = None):
         if primary_input_slew <= 0.0:
             raise ValueError("primary_input_slew must be positive")
-        self._engine = _check_engine(engine)
         self._netlist = netlist
         self._view = timing_view
         self._input_slew = float(primary_input_slew)
@@ -143,9 +126,7 @@ class TimingGraphAnalyzer:
              (ledger.caches() if ledger is not None else nullcontext()):
             if ledger is not None:
                 ledger.add_metric("gate_evaluations", self._compiled.n_gates)
-            if self._engine == "batched":
-                return self._run_batched()
-            return self._run_loop()
+            return self._propagate()
 
 
 class StaticTimingAnalyzer(TimingGraphAnalyzer):
@@ -153,40 +134,7 @@ class StaticTimingAnalyzer(TimingGraphAnalyzer):
 
     _ledger_stage = "sta"
 
-    def _run_loop(self) -> PathReport:
-        arrivals: Dict[str, float] = {}
-        slews: Dict[str, float] = {}
-        worst_input_gate: Dict[str, Optional[str]] = {}
-        net_index = self._net_index
-
-        for net in self._netlist.primary_inputs:
-            arrivals[net] = self._input_arrival
-            slews[net] = self._input_slew
-            worst_input_gate[net] = None
-
-        for gate in self._netlist.topological_gates():
-            input_arrival = max(arrivals[net] for net in gate.input_nets)
-            worst_net = max(gate.input_nets, key=lambda net: arrivals[net])
-            input_slew = slews[worst_net]
-            load = max(float(self._loads[net_index[gate.output_net]]), MIN_LOAD_F)
-            delay, output_slew = self._view.gate_timing(gate.cell_name, input_slew,
-                                                        load)
-            arrivals[gate.output_net] = input_arrival + delay
-            slews[gate.output_net] = output_slew
-            worst_input_gate[gate.output_net] = gate.name
-
-        critical_output = max(self._netlist.primary_outputs,
-                              key=lambda net: arrivals[net])
-        critical_path = self._trace_path(critical_output, worst_input_gate, arrivals)
-        return PathReport(
-            arrival_times=arrivals,
-            transition_times=slews,
-            critical_output=critical_output,
-            critical_delay=float(arrivals[critical_output]),
-            critical_path=tuple(critical_path),
-        )
-
-    def _run_batched(self) -> PathReport:
+    def _propagate(self) -> PathReport:
         compiled = self._compiled
         arrival = np.full(compiled.n_nets, -np.inf)
         slew = np.zeros(compiled.n_nets)
@@ -229,16 +177,3 @@ class StaticTimingAnalyzer(TimingGraphAnalyzer):
             critical_delay=float(arrival[critical_index]),
             critical_path=tuple(critical_path),
         )
-
-    def _trace_path(self, output_net: str,
-                    worst_input_gate: Dict[str, Optional[str]],
-                    arrivals: Dict[str, float]) -> List[str]:
-        path: List[str] = []
-        net = output_net
-        while worst_input_gate.get(net) is not None:
-            gate_name = worst_input_gate[net]
-            path.append(gate_name)
-            gate = self._netlist.gate(gate_name)
-            net = max(gate.input_nets, key=lambda candidate: arrivals[candidate])
-        path.reverse()
-        return path

@@ -275,7 +275,7 @@ class CompiledNetlist:
     load_nets, load_pin_gate:
         Flattened (net, consumer gate) pin pairs for load accumulation,
         de-duplicated per gate (a gate tying one net to several of its pins
-        presents its pin capacitance once, matching the loop engines).
+        presents its pin capacitance once, matching the loop oracle).
     primary_input_nets, primary_output_nets:
         Net indices of the primary inputs / outputs, in declaration order.
     """
@@ -338,7 +338,7 @@ class CompiledNetlist:
         first = np.minimum.reduceat(candidates, pointers, axis=0)
         # A NaN arrival matches nothing (NaN != NaN), leaving the sentinel;
         # clamp so the gather stays in bounds and the NaN propagates to the
-        # gate's arrival exactly as in the loop engines.
+        # gate's arrival exactly as in the loop oracle.
         first = np.minimum(first, nets.size - 1)
         return nets, worst, first
 

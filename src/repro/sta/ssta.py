@@ -8,34 +8,26 @@ delay -- mean, sigma, and the high quantiles that statistical sign-off uses.
 This is the downstream consumer the paper's statistical library
 characterization exists to serve.
 
-As in the deterministic analyzer, two engines produce identical reports:
-
-* ``engine="loop"`` -- one Python iteration and one per-seed timing query
-  per gate.
-* ``engine="batched"`` (default) -- arrivals live in one
-  ``(n_nets, n_seeds)`` array, every topological level resolves its
-  seed-wise worst fanins with segmented reductions over the compiled CSR
-  fanin arrays, and one batched ``(gates x seeds)`` timing query is issued
-  per (level, cell type) group.
-
-Both engines select each gate's driving slew **per seed** from that seed's
-worst (latest-arriving) input -- not from one globally worst input -- and
-both accept a ``primary_input_arrival``, mirroring the deterministic
-analyzer.
+As in the deterministic analyzer, the engine is level-batched: arrivals
+live in one ``(n_nets, n_seeds)`` array, every topological level resolves
+its seed-wise worst fanins with segmented reductions over the compiled CSR
+fanin arrays, and one batched ``(gates x seeds)`` timing query is issued per
+(level, cell type) group.  Each gate's driving slew is selected **per
+seed** from that seed's worst (latest-arriving) input -- not from one
+globally worst input -- and a ``primary_input_arrival`` offsets every
+primary input, mirroring the deterministic analyzer.  A per-gate loop
+analyzer in ``tests/oracles/loop_timing.py`` checks the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.analysis.distributions import DistributionSummary, summarize_many
-from repro.runtime.accounting import RunLedger
 from repro.sta.analysis import MIN_LOAD_F, TimingGraphAnalyzer
-from repro.sta.netlist import Netlist
-from repro.sta.timing_view import StatisticalTimingView
 
 
 @dataclass(frozen=True)
@@ -76,23 +68,13 @@ def _criticality(names, samples: np.ndarray) -> Dict[str, float]:
 class MonteCarloSsta(TimingGraphAnalyzer):
     """Seed-vectorized SSTA over a :class:`StatisticalTimingView`.
 
-    Construction, engine selection, net-load precomputation and
-    post-mutation refresh are shared with the deterministic analyzer
+    Construction, net-load precomputation and post-mutation refresh are
+    shared with the deterministic analyzer
     (:class:`~repro.sta.analysis.TimingGraphAnalyzer`); :meth:`run` returns
     an :class:`SstaReport` with the critical-delay distribution.
     """
 
     _ledger_stage = "ssta"
-
-    def __init__(self, netlist: Netlist, timing_view: StatisticalTimingView,
-                 primary_input_slew: float = 5e-12,
-                 primary_input_arrival: float = 0.0,
-                 engine: str = "batched",
-                 ledger: Optional[RunLedger] = None):
-        super().__init__(netlist, timing_view,
-                         primary_input_slew=primary_input_slew,
-                         primary_input_arrival=primary_input_arrival,
-                         engine=engine, ledger=ledger)
 
     def _report(self, po_names, po_samples: np.ndarray) -> SstaReport:
         output_summaries = dict(zip(po_names, summarize_many(po_samples)))
@@ -107,37 +89,7 @@ class MonteCarloSsta(TimingGraphAnalyzer):
             criticality=_criticality(po_names, po_samples),
         )
 
-    def _run_loop(self) -> SstaReport:
-        n_seeds = self._view.n_seeds
-        seed_index = np.arange(n_seeds)
-        net_index = self._net_index
-        arrivals: Dict[str, np.ndarray] = {}
-        slews: Dict[str, np.ndarray] = {}
-
-        for net in self._netlist.primary_inputs:
-            arrivals[net] = np.full(n_seeds, self._input_arrival)
-            slews[net] = np.full(n_seeds, self._input_slew)
-
-        for gate in self._netlist.topological_gates():
-            stacked = np.stack([arrivals[net] for net in gate.input_nets], axis=0)
-            input_arrival = stacked.max(axis=0)
-            # Seed-wise worst input; each seed's driving slew comes from that
-            # seed's own latest-arriving input (collapsed to the ensemble
-            # mean inside the view's table query).
-            worst_input = np.argmax(stacked, axis=0)
-            slew_stack = np.stack([slews[net] for net in gate.input_nets], axis=0)
-            input_slew = slew_stack[worst_input, seed_index]
-            load = max(float(self._loads[net_index[gate.output_net]]), MIN_LOAD_F)
-            delay, output_slew = self._view.gate_timing_samples(
-                gate.cell_name, input_slew, load)
-            arrivals[gate.output_net] = input_arrival + delay
-            slews[gate.output_net] = output_slew
-
-        po_names = self._netlist.primary_outputs
-        po_samples = np.stack([arrivals[net] for net in po_names], axis=0)
-        return self._report(po_names, po_samples)
-
-    def _run_batched(self) -> SstaReport:
+    def _propagate(self) -> SstaReport:
         compiled = self._compiled
         n_seeds = self._view.n_seeds
         seed_index = np.arange(n_seeds)

@@ -320,7 +320,7 @@ class TestLibraryConcurrency:
         library = StandardCellLibrary(
             "adaptive_equiv", [make_cell("INV_X1"), make_cell("NAND2_X1")])
         results = []
-        for concurrency in ("serial", "chunked", "process"):
+        for concurrency in ("serial", "process"):
             get_simulation_cache().clear()
             results.append(characterize_library(
                 tech28, library, adaptive_priors[0], adaptive_priors[1],

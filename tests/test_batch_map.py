@@ -277,31 +277,23 @@ class TestReporting:
 
 
 class TestStatisticalFlowSolverSwitch:
-    """The characterizer produces matching ensembles through both solvers."""
+    """The characterizer's ensemble matches the per-seed scipy oracle."""
 
     @pytest.fixture(scope="class")
     def characterized(self, tech28, inv_cell, delay_prior, slew_prior):
+        from repro.characterization.input_space import InputSpace
         from repro.core.statistical_flow import StatisticalCharacterizer
+        from tests.oracles.per_arc import characterize_arc_scipy
 
         variation = tech28.variation.sample(16, rng=21)
-        conditions = None
-        results = {}
-        for solver in ("batched", "scipy"):
-            flow = StatisticalCharacterizer(tech28, inv_cell, delay_prior,
-                                            slew_prior, n_seeds=16,
-                                            solver=solver)
-            flow.use_variation(variation)
-            if conditions is None:
-                from repro.characterization.input_space import InputSpace
-
-                conditions = InputSpace(tech28).sample_lhs(
-                    3, np.random.default_rng(4))
-            results[solver] = flow.characterize(conditions)
-        return results
-
-    def test_solver_recorded(self, characterized):
-        assert characterized["batched"].solver == "batched"
-        assert characterized["scipy"].solver == "scipy"
+        conditions = InputSpace(tech28).sample_lhs(3, np.random.default_rng(4))
+        flow = StatisticalCharacterizer(tech28, inv_cell, delay_prior,
+                                        slew_prior, n_seeds=16)
+        flow.use_variation(variation)
+        return {"batched": flow.characterize(conditions),
+                "scipy": characterize_arc_scipy(
+                    tech28, inv_cell, inv_cell.timing_arcs()[1], delay_prior,
+                    slew_prior, variation, conditions)}
 
     def test_parameter_parity_end_to_end(self, characterized):
         np.testing.assert_allclose(
@@ -319,15 +311,16 @@ class TestStatisticalFlowSolverSwitch:
 
     def test_invalid_solver_rejected(self, tech28, inv_cell, delay_prior,
                                      slew_prior):
+        # One extraction solver: the solver switch is gone entirely.
         from repro.core.statistical_flow import StatisticalCharacterizer
 
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="solver"):
             StatisticalCharacterizer(tech28, inv_cell, delay_prior, slew_prior,
-                                     solver="magic")
+                                     solver="scipy")
         flow = StatisticalCharacterizer(tech28, inv_cell, delay_prior,
                                         slew_prior, n_seeds=4)
-        with pytest.raises(ValueError):
-            flow.characterize(2, solver="magic")
+        with pytest.raises(TypeError, match="solver"):
+            flow.characterize(2, solver="scipy")
 
 
 class TestStackedSolve:

@@ -4,7 +4,8 @@ The batched engine stacks B independent same-topology factor graphs and
 advances all of them through the scalar engine's exact message schedule with
 one batched linear solve per update.  The contract under test: for every
 topology (chain, star, loopy with damping) the batched sweeps reproduce the
-scalar per-graph results at ``rtol <= 1e-12``, converged graphs retire
+scalar per-graph loop of ``tests/oracles/scalar_bp.py`` at
+``rtol <= 1e-12``, converged graphs retire
 independently, and the tree cases match the closed-form joint-precision
 marginals.
 """
@@ -14,12 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bayes import (
-    BatchedFactorGraph,
-    GaussianBatch,
-    GaussianDensity,
-    GaussianFactorGraph,
-)
+from repro.bayes import BatchedFactorGraph, GaussianBatch, GaussianDensity
+from tests.oracles.scalar_bp import GaussianFactorGraph, run_loop
 
 RTOL = 1e-12
 
@@ -92,7 +89,7 @@ class TestBatchedMatchesLoop:
         link = random_spd(rng)
         graph = BatchedFactorGraph.star("center", leaves, link)
         batched = graph.run_belief_propagation()
-        loop = graph.run_belief_propagation(engine="loop")
+        loop = run_loop(graph)
         assert_batches_close(batched, loop)
 
     def test_chain_matches_loop(self):
@@ -102,8 +99,7 @@ class TestBatchedMatchesLoop:
         evidence = {name: [random_density(rng) for _ in range(batch_size)]
                     for name in ("n45", "n14")}
         graph = BatchedFactorGraph.chain(names, evidence, random_spd(rng))
-        assert_batches_close(graph.run_belief_propagation(),
-                             graph.run_belief_propagation(engine="loop"))
+        assert_batches_close(graph.run_belief_propagation(), run_loop(graph))
 
     def test_loopy_damped_matches_loop_per_graph_damping(self):
         rng = np.random.default_rng(13)
@@ -118,8 +114,7 @@ class TestBatchedMatchesLoop:
         damping = np.array([0.1, 0.3, 0.5, 0.7])
         batched = graph.run_belief_propagation(max_iterations=500,
                                                damping=damping)
-        loop = graph.run_belief_propagation(max_iterations=500,
-                                            damping=damping, engine="loop")
+        loop = run_loop(graph, max_iterations=500, damping=damping)
         assert_batches_close(batched, loop)
 
     def test_per_graph_link_covariances(self):
@@ -129,8 +124,7 @@ class TestBatchedMatchesLoop:
         leaves = {f"leaf{i}": [random_density(rng) for _ in range(batch_size)]
                   for i in range(2)}
         graph = BatchedFactorGraph.star("center", leaves, links)
-        assert_batches_close(graph.run_belief_propagation(),
-                             graph.run_belief_propagation(engine="loop"))
+        assert_batches_close(graph.run_belief_propagation(), run_loop(graph))
 
     def test_shared_evidence_infers_batch_of_one(self):
         rng = np.random.default_rng(15)
@@ -231,9 +225,8 @@ class TestRetirementAndInfo:
         rng = np.random.default_rng(31)
         # (loopy_graph draws evidence per batch row from one stream, so the
         # solo graph's row 0 matches the pair's row 0 only when batch sizes
-        # agree; instead compare against the loop engine, which shares rows.)
-        loop = graph.run_belief_propagation(max_iterations=1000,
-                                            damping=damping, engine="loop")
+        # agree; instead compare against the loop oracle, which shares rows.)
+        loop = run_loop(graph, max_iterations=1000, damping=damping)
         assert_batches_close(both, loop)
         assert solo["a"].batch_size == 1
 
@@ -244,19 +237,14 @@ class TestRetirementAndInfo:
             graph.run_belief_propagation(max_iterations=2, tolerance=1e-300,
                                          damping=damping)
 
-    def test_return_info_requires_batched_engine(self):
-        graph = self.loopy_graph([0.1])
-        with pytest.raises(ValueError, match="batched"):
-            graph.run_belief_propagation(damping=np.array([0.1]),
-                                         engine="loop", return_info=True)
-
 
 class TestValidation:
     def test_unknown_engine(self):
+        # One BP engine: the engine switch is gone entirely.
         graph = BatchedFactorGraph.star(
             "c", {"l": GaussianDensity([0.0], [[1.0]])}, np.eye(1))
-        with pytest.raises(ValueError, match="engine"):
-            graph.run_belief_propagation(engine="turbo")
+        with pytest.raises(TypeError, match="engine"):
+            graph.run_belief_propagation(engine="loop")
 
     def test_damping_bounds(self):
         graph = BatchedFactorGraph.star(
@@ -312,7 +300,7 @@ class TestValidation:
             graph.run_belief_propagation()
 
     def test_scalar_graph_matches_batched_star(self):
-        """The scalar engine and a B=1 batched star agree bit-for-bit."""
+        """The scalar oracle and a B=1 batched star agree."""
         rng = np.random.default_rng(41)
         leaves = {f"leaf{i}": random_density(rng) for i in range(3)}
         link = random_spd(rng)

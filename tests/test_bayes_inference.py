@@ -1,4 +1,9 @@
-"""Tests for conjugate updates, precision learning (Eq. 9), and Gaussian BP."""
+"""Tests for conjugate updates, precision learning (Eq. 9), and Gaussian BP.
+
+The Gaussian BP tests drive the scalar factor graph of
+``tests/oracles/scalar_bp.py``, the reference the batched engine is checked
+against in ``test_batched_bp.py``.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +12,12 @@ import pytest
 
 from repro.bayes import (
     GaussianDensity,
-    GaussianFactorGraph,
     PrecisionModel,
     gaussian_linear_update,
     posterior_of_mean,
 )
 from repro.bayes.precision import precision_from_relative_residuals
+from tests.oracles.scalar_bp import GaussianFactorGraph
 
 
 class TestConjugateUpdates:

@@ -176,6 +176,81 @@ class TestArgumentValidation:
 
 
 # ---------------------------------------------------------------------------
+# Compatibility with checkpoint directories written by earlier versions
+# ---------------------------------------------------------------------------
+class TestCheckpointCompatibility:
+    """Fixed small inputs whose run signature is pinned to a known digest."""
+
+    @staticmethod
+    def inputs():
+        from repro.bayes import GaussianDensity, PrecisionModel
+        from repro.characterization.input_space import InputCondition
+        from repro.core.prior_learning import TimingPrior
+        from repro.technology.variation import VariationSample
+
+        cell = make_cell("INV_X1")
+        jobs = [(cell, cell.arc("A", Transition.FALL)),
+                (cell, cell.arc("A", Transition.RISE))]
+        conditions = [InputCondition(sin=10e-12, cload=1e-15, vdd=0.9),
+                      InputCondition(sin=30e-12, cload=3e-15, vdd=0.8)]
+        variation = VariationSample(
+            delta_vth_nmos=np.array([0.01, -0.02]),
+            delta_vth_pmos=np.array([-0.01, 0.015]),
+            drive_mult_nmos=np.array([1.02, 0.97]),
+            drive_mult_pmos=np.array([0.99, 1.03]),
+            leff_mult=np.array([1.0, 1.01]),
+            cap_mult=np.array([0.98, 1.02]))
+
+        def prior(response, scale):
+            return TimingPrior(
+                response=response,
+                density=GaussianDensity(
+                    np.array([0.4, 1.2, -0.25, 0.1]) * scale,
+                    np.diag([0.05, 0.3, 0.05, 0.08]) ** 2),
+                precision_model=PrecisionModel(
+                    np.array([[0.2, 0.3, 0.4], [0.6, 0.7, 0.8]]),
+                    np.array([1e4, 2e4])),
+                technology_names=("n45_bulk", "n32_soi"), method="bp")
+
+        return jobs, [conditions, conditions], variation, prior("delay", 1.0), \
+            prior("slew", 0.8)
+
+    def test_signature_digest_is_pinned(self):
+        # The digest checkpoints were written under before the solver
+        # switch was retired; a change here strands every such directory.
+        from repro.core.library_flow import _checkpoint_signature
+        from repro.spice.stepper import StepperSpec
+
+        jobs, job_conditions, variation, delay_prior, slew_prior = \
+            self.inputs()
+        assert _checkpoint_signature(
+            get_technology("n28_bulk"), "sig_lib", jobs, job_conditions,
+            variation, delay_prior, slew_prior,
+            StepperSpec.for_engine("batched")) == (
+            "5aff8007d4c664cd6985dd4314b66d9b82f9bd7863d14f755ed21d1e90d62819")
+
+    def test_restore_ignores_a_solver_key(self):
+        from repro.core.library_flow import _restore_solved
+
+        jobs, job_conditions, variation, _, _ = self.inputs()
+        cell, arc = jobs[0]
+        payload = {
+            "delay_parameters": np.ones((2, 4)),
+            "slew_parameters": np.full((2, 4), 2.0),
+            "delay_converged": np.array([True, True]),
+            "slew_converged": np.array([True, False]),
+            "conditions": tuple(c.as_tuple() for c in job_conditions[0]),
+            "simulation_runs": 4,
+            "solver": "batched",
+        }
+        restored = _restore_solved(payload, cell, arc,
+                                   get_technology("n28_bulk"), variation)
+        assert restored.fitting_conditions == tuple(job_conditions[0])
+        assert np.array_equal(restored.slew_parameters, np.full((2, 4), 2.0))
+        assert restored.unconverged_seeds().tolist() == [1]
+
+
+# ---------------------------------------------------------------------------
 # End-to-end checkpoint/resume
 # ---------------------------------------------------------------------------
 

@@ -65,7 +65,6 @@ class TestCharacterizeLibrary:
             "NAND2_X1:A->Z(fall)", "NAND2_X1:A->Z(rise)",
         ]
         assert result.n_seeds == 10
-        assert result.solver == "batched"
 
     def test_simulation_run_accounting(self, library_result):
         result, counter = library_result

@@ -292,6 +292,60 @@ class TestInjectedFilesystemFaults:
         owner._release_lock(token)
         assert not lock.exists()
 
+    def test_stale_lock_break_never_steals_a_fresh_lock(self, tmp_path):
+        # Two handles judge the same abandoned lock stale.  The interleaving
+        # is forced: between the second handle's verdict and its break, the
+        # first breaks the stale lock and publishes its own.  The second
+        # must then find a fresh lock, leave it in place and back off --
+        # not delete it and take the lock as well.
+        first = DiskStore(tmp_path / "s")
+        second = DiskStore(tmp_path / "s")
+        lock = tmp_path / "s" / ".lock"
+        lock.write_text("999999999:0.0")
+        tokens = {}
+        judge = second._lock_is_stale
+
+        def judge_then_lose_the_race(*args):
+            verdict = judge(*args)
+            if "first" not in tokens:
+                tokens["first"] = first._acquire_lock()
+            return verdict
+
+        second._lock_is_stale = judge_then_lose_the_race
+        tokens["second"] = second._acquire_lock()
+        assert tokens["first"] is not None
+        assert tokens["second"] is None
+        assert lock.read_text() == tokens["first"]
+        assert first.stats().stale_locks_broken == 1
+        assert second.stats().stale_locks_broken == 0
+        first._release_lock(tokens["first"])
+        assert not lock.exists()
+
+    def test_miss_does_not_forget_a_concurrent_commit(self, tmp_path,
+                                                       monkeypatch):
+        # A get misses (the entry is not there yet), then another thread's
+        # put of the same key commits and indexes it before the get's miss
+        # path runs.  The miss must not drop the fresh entry from the index.
+        from pathlib import Path
+
+        store = DiskStore(tmp_path / "s")
+        read_bytes = Path.read_bytes
+        committed = []
+
+        def absent_then_committed(path):
+            if path.suffix == ".entry" and not committed:
+                committed.append(store.put(("k",), np.arange(4.0)))
+                raise FileNotFoundError(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", absent_then_committed)
+        assert store.get(("k",)) is None
+        assert committed == [True]
+        stats = store.stats()
+        assert stats.writes == stats.entries == 1
+        assert ("k",) in store
+        assert store.get(("k",)).tolist() == [0.0, 1.0, 2.0, 3.0]
+
     def test_shared_handle_counters_survive_thread_contention(self, tmp_path):
         # One handle shared by more threads than cores, with a tiny switch
         # interval: a lost counter update would break these invariants.

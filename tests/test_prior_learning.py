@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bayes import BatchedFactorGraph
 from repro.core.prior_learning import (
     TimingPrior,
     characterize_historical_libraries,
@@ -14,6 +15,17 @@ from repro.core.prior_learning import (
     learn_priors,
     shared_reference_conditions,
 )
+from tests.oracles import scalar_bp
+from tests.oracles.per_arc import characterize_historical_per_arc
+
+
+@pytest.fixture
+def scalar_loop(monkeypatch):
+    """Route every BP call of the flow through the scalar loop oracle."""
+    def use():
+        monkeypatch.setattr(BatchedFactorGraph, "run_belief_propagation",
+                            scalar_bp.run_loop)
+    return use
 
 
 class TestSharedReferenceConditions:
@@ -118,9 +130,10 @@ class TestLearnPrior:
 
 
 class TestBatchedLearnPriors:
-    def test_batched_matches_loop(self, historical_data):
+    def test_batched_matches_loop(self, historical_data, scalar_loop):
         batched = learn_priors(historical_data, engine="batched")
-        loop = learn_priors(historical_data, engine="loop")
+        scalar_loop()
+        loop = learn_priors(historical_data)
         for response in ("delay", "slew"):
             np.testing.assert_allclose(batched[response].density.mean,
                                        loop[response].density.mean,
@@ -161,9 +174,10 @@ class TestLearnClassPriors:
             assert prior.method == "bp"
             assert prior.density.dim == 4
 
-    def test_batched_matches_loop(self, historical_data):
-        batched = learn_class_priors(historical_data, engine="batched")
-        loop = learn_class_priors(historical_data, engine="loop")
+    def test_batched_matches_loop(self, historical_data, scalar_loop):
+        batched = learn_class_priors(historical_data)
+        scalar_loop()
+        loop = learn_class_priors(historical_data)
         for key in batched:
             np.testing.assert_allclose(batched[key].density.mean,
                                        loop[key].density.mean, rtol=1e-12)
@@ -202,8 +216,8 @@ class TestLearnClassPriors:
             learn_class_priors(historical_data, method="magic")
         with pytest.raises(ValueError):
             learn_class_priors(historical_data, prior_widening=0.0)
-        with pytest.raises(ValueError):
-            learn_class_priors(historical_data, engine="warp")
+        with pytest.raises(TypeError, match="engine"):
+            learn_class_priors(historical_data, engine="batched")
 
 
 class TestFusedHistoricalCharacterization:
@@ -216,16 +230,16 @@ class TestFusedHistoricalCharacterization:
 
         tech = __import__("repro").get_technology("n28_bulk")
         results = {}
-        for engine in ("batched", "fused"):
+        for engine, flow in (("batched", characterize_historical_per_arc),
+                             ("fused", characterize_historical_library)):
             testbench.get_simulation_cache().clear()
             counter = SimulationCounter()
             ledger = RunLedger()
             results[engine] = (
-                characterize_historical_library(
-                    tech, [inv_cell, nor2_cell],
-                    unit_conditions=reference_conditions,
-                    transitions=(Transition.FALL,),
-                    counter=counter, engine=engine, ledger=ledger),
+                flow(tech, [inv_cell, nor2_cell],
+                     unit_conditions=reference_conditions,
+                     transitions=(Transition.FALL,), counter=counter,
+                     **({"ledger": ledger} if engine == "fused" else {})),
                 counter, ledger)
         testbench.get_simulation_cache().clear()
         return results
@@ -317,6 +331,11 @@ class TestFusedHistoricalCharacterization:
         from repro import get_technology
 
         with pytest.raises(ValueError, match="engine"):
+            characterize_historical_libraries(
+                [get_technology("n28_bulk")], [inv_cell],
+                unit_conditions=reference_conditions, engine="quantum")
+        # One historical engine: the single-node entry point has no switch.
+        with pytest.raises(TypeError, match="engine"):
             characterize_historical_library(
                 get_technology("n28_bulk"), [inv_cell],
-                unit_conditions=reference_conditions, engine="quantum")
+                unit_conditions=reference_conditions, engine="fused")

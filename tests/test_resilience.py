@@ -276,7 +276,7 @@ class TestCircuitBreaker:
 
 class TestSlowFaults:
     def test_induced_delay_reports_spec_delay_deterministically(self):
-        site = "library.arc_job"  # any registered site works
+        site = "executor.job"  # any registered site works
         assert induced_delay(site) == 0.0  # no injector: clean identity
         with inject([FaultSpec(site=site, kind="slow", at_calls=(1,),
                                delay_s=0.25)]) as injector:
@@ -287,7 +287,7 @@ class TestSlowFaults:
 
     def test_slow_spec_validation(self):
         with pytest.raises(ValueError):
-            FaultSpec(site="library.arc_job", kind="slow", delay_s=-0.1)
+            FaultSpec(site="executor.job", kind="slow", delay_s=-0.1)
 
 
 class TestFailureReport:
@@ -330,7 +330,7 @@ class TestFaultInjection:
         sites = fault_sites()
         for name in ("executor.process.map", "executor.job",
                      "transient.integrate", "transient.state",
-                     "batch_map.result", "library.arc_job"):
+                     "batch_map.result"):
             assert name in sites, name
 
     def test_unknown_site_rejected(self):
@@ -582,9 +582,6 @@ class TestFactorGraphResilience:
             "global", {"leaf": [good, good]}, np.stack([np.eye(2)] * 2))
         with pytest.raises(ValueError, match="on_divergence"):
             graph.run_belief_propagation(on_divergence="ignore")
-        with pytest.raises(ValueError, match="retire"):
-            graph.run_belief_propagation(engine="loop",
-                                         on_divergence="retire")
 
 
 # ---------------------------------------------------------------------------
@@ -699,36 +696,44 @@ class TestLibraryResilience:
         assert metrics.get("map_repaired_scipy", 0) \
             + metrics.get("map_repaired_prior", 0) >= 1
 
-    def test_per_arc_retry_recovers(self, delay_prior, slew_prior,
-                                    small_cells):
+    def test_simulation_chunk_retry_recovers(self, delay_prior, slew_prior,
+                                             small_cells):
+        clean, _ = _run_library(delay_prior, slew_prior, small_cells)
         ledger = RunLedger()
         clear_all_caches()
-        spec = FaultSpec(site="library.arc_job", kind="exception",
+        spec = FaultSpec(site="executor.job", kind="exception",
                          at_calls=(1,))
         with inject([spec], seed=5):
             library = characterize_library(
                 get_technology("n28_bulk"), small_cells, delay_prior,
-                slew_prior, conditions=3, n_seeds=6, rng=11,
-                pipeline="per_arc", ledger=ledger, strict=False,
-                retry_policy=RetryPolicy(max_attempts=2))
+                slew_prior, conditions=3, n_seeds=6, rng=11, ledger=ledger,
+                strict=False, retry_policy=RetryPolicy(max_attempts=2))
         assert library.failures == ()
         assert len(library.entries) == 4
-        assert ledger.as_dict()["metrics"]["retries"] >= 1
+        assert ledger.as_dict()["metrics"]["executor_retries"] == 1
+        for lhs, rhs in zip(clean.entries, library.entries):
+            assert np.array_equal(lhs.statistical.delay_parameters,
+                                  rhs.statistical.delay_parameters)
 
-    def test_per_arc_failure_reported(self, delay_prior, slew_prior,
-                                      small_cells):
+    def test_failed_arc_reported_and_dropped(self, delay_prior, slew_prior,
+                                             small_cells):
+        # The first signature group is one arc's three fitting rows; NaN
+        # all of them and that arc alone fails.
         clear_all_caches()
-        spec = FaultSpec(site="library.arc_job", kind="exception",
-                         at_calls=(1,))
+        spec = FaultSpec(site="transient.state", kind="nan", at_calls=(0,),
+                         rows=(0, 1, 2))
         with inject([spec], seed=5):
             library = characterize_library(
                 get_technology("n28_bulk"), small_cells, delay_prior,
-                slew_prior, conditions=3, n_seeds=6, rng=11,
-                pipeline="per_arc", strict=False)
+                slew_prior, conditions=3, n_seeds=6, rng=11, strict=False)
         assert len(library.failures) == 1
-        assert library.failures[0].stage == "characterize"
-        assert library.failures[0].error_type == "InjectedFault"
+        report = library.failures[0]
+        assert report.stage == "simulate"
+        assert report.error_type == "QuarantinedRows"
+        assert "arc dropped" in report.error
         assert len(library.entries) == 3
+        assert report.unit not in {f"{e.cell_name}:{e.arc.name}"
+                                   for e in library.entries}
 
 
 class TestHistoricalResilience:
